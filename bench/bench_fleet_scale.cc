@@ -1,18 +1,12 @@
 // Streaming fleet-scale macro-benchmark: 10^2 -> 10^6 apps under a fixed
 // memory budget (perf trajectory, not a paper figure; DESIGN.md §11/§14).
 //
-// Gated sections:
+// Bit-identity of the fleet path across chunk sizes, thread counts and
+// pending bounds is a ctest contract (tests/sim/fleet_determinism_test.cc
+// against the committed golden, tests/sim/fleet_stream_test.cc); multi-core
+// throughput is measured by perfbench (stream_fleet). Gated sections:
 //
-// 1. Parity @ 32 Azure apps. A verbatim copy of the pre-streaming resident
-//    fleet loop (one app at a time on the calling thread) is compared
-//    bit-for-bit against SimulateFleet and against SimulateFleetStream
-//    (per-app rows recovered through the ordered per_app_sink). Every
-//    SimMetrics field of every row and the total must match exactly, and
-//    the streamed result must be invariant across chunk sizes {1, 7, 64},
-//    thread counts {1, default} and backpressure bounds {auto, 1, 3} — the
-//    DESIGN.md §10/§11/§14 determinism contract. Mismatches must be 0.
-//
-// 2. Sketch-feature parity @ 10^4 Huawei apps. The streaming BlockSketch
+// 1. Sketch-feature parity @ 10^4 Huawei apps. The streaming BlockSketch
 //    feature path (FeatureMode::kSketch) is compared against the exact
 //    resident-block oracle for the same analogue statistics. The moment
 //    features (stationarity, linearity, density, exec time) differ only by
@@ -21,19 +15,13 @@
 //    property suite in tests/stats/sketch_test.cc (tolerance 0.1 absolute
 //    on the log10 scale here). Gate: 0 out-of-tolerance features.
 //
-// 3. Thread sweep at a fixed fleet. apps/sec for 1..N threads plus a
-//    speedup gate (>= 2x apps/s at 4 threads vs 1). Below 4 cores the gate
-//    is skipped with a warning and the skip + core count are recorded in
-//    the JSON (speedup_gate.{skipped, cores, reason}) — same shape as
-//    bench_fleet_parallel.
-//
-// 4. Zero-allocation hot loop. Global operator new is replaced by a
+// 2. Zero-allocation hot loop. Global operator new is replaced by a
 //    counting hook (bench/alloc_hook.{h,cc}); two sweeps differing only in
 //    epochs-per-app are measured after an arena-warming run, so per-app
 //    and per-chunk allocations cancel and any allocation delta is per-epoch
 //    heap traffic. Gate: 0 per-epoch allocations in steady state.
 //
-// 5. Huawei-preset scale sweep to 10^6 apps. SimulateFleetStream runs a
+// 3. Huawei-preset scale sweep to 10^6 apps. SimulateFleetStream runs a
 //    cheap moving-average policy over lazily generated per-second fleets,
 //    recording wall time, apps/sec, epochs/sec and the RSS high-water mark
 //    per point. The sweep BYPASSES the SeriesCache (series_cache = null):
@@ -43,18 +31,16 @@
 //    RSS growth across the sweep (a 10^4x fleet-size increase) stays under
 //    the configured budget plus fixed slack — flat memory in fleet size.
 //
-// 6. Two-pass SeriesCache demo. The cache exists for multi-pass consumers,
+// 4. Two-pass SeriesCache demo. The cache exists for multi-pass consumers,
 //    so the bench demonstrates exactly that: the same small fleet swept
 //    twice against one generously sized cache must hit on the second pass
 //    (hits > 0), and a separate undersized cache must evict under budget
-//    (evictions > 0, resident bytes <= budget) — the PR 5 eviction gate.
+//    (evictions > 0, resident bytes <= budget) — the eviction gate.
 //
 // Usage: bench_fleet_scale [--smoke] [--scale-smoke] [--json=PATH]
 //   --smoke        tiny sizes for CI; all sections.
 //   --scale-smoke  verify.sh mode: alloc gate + 10^5-app RSS gate only.
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -74,40 +60,10 @@
 #include "src/sim/policy.h"
 #include "src/sim/thread_pool.h"
 #include "src/stats/sketch.h"
-#include "src/trace/azure_generator.h"
 #include "src/trace/huawei_generator.h"
 #include "src/trace/stream.h"
 
 namespace femux {
-namespace resident_reference {
-
-// ---- Pre-streaming resident fleet loop, kept verbatim so the parity gate
-// ---- measures the streaming pipeline against the real baseline: the whole
-// ---- dataset materialized, every app simulated in order on the caller.
-FleetResult SimulateFleetUniform(const Dataset& dataset, const ScalingPolicy& prototype,
-                                 SimOptions options) {
-  FleetResult result;
-  result.per_app.resize(dataset.apps.size());
-  for (std::size_t i = 0; i < dataset.apps.size(); ++i) {
-    const AppTrace& app = dataset.apps[i];
-    SimOptions app_options = options;
-    app_options.min_scale = 0;
-    app_options.memory_gb_per_unit =
-        app.consumed_memory_mb > 0.0 ? app.consumed_memory_mb / 1024.0
-                                     : options.memory_gb_per_unit;
-    const std::vector<double> demand = DemandSeries(app, app_options.epoch_seconds);
-    const std::vector<double> arrivals = ArrivalSeries(app, app_options.epoch_seconds);
-    const std::unique_ptr<ScalingPolicy> policy = prototype.Clone();
-    result.per_app[i] = SimulateApp(demand, arrivals, *policy, app_options);
-  }
-  for (const SimMetrics& m : result.per_app) {
-    result.total += m;
-  }
-  return result;
-}
-
-}  // namespace resident_reference
-
 namespace {
 
 double Seconds(std::chrono::steady_clock::time_point start) {
@@ -138,53 +94,6 @@ Args ParseArgs(int argc, char** argv) {
   return args;
 }
 
-constexpr std::size_t kMetricFields = 8;
-
-std::array<double, kMetricFields> Fields(const SimMetrics& m) {
-  return {m.invocations,        m.cold_starts,          m.cold_invocations,
-          m.cold_start_seconds, m.wasted_gb_seconds,    m.allocated_gb_seconds,
-          m.execution_seconds,  m.service_seconds};
-}
-
-// Bit-exact comparison of every field of every row (and the total).
-std::size_t CountRowMismatches(const FleetResult& a, const FleetResult& b) {
-  if (a.per_app.size() != b.per_app.size()) {
-    return a.per_app.size() + b.per_app.size();
-  }
-  std::size_t mismatches = 0;
-  const auto compare = [&mismatches](const SimMetrics& x, const SimMetrics& y) {
-    const auto fx = Fields(x);
-    const auto fy = Fields(y);
-    for (std::size_t f = 0; f < kMetricFields; ++f) {
-      if (std::bit_cast<std::uint64_t>(fx[f]) != std::bit_cast<std::uint64_t>(fy[f])) {
-        ++mismatches;
-      }
-    }
-  };
-  compare(a.total, b.total);
-  for (std::size_t i = 0; i < a.per_app.size(); ++i) {
-    compare(a.per_app[i], b.per_app[i]);
-  }
-  return mismatches;
-}
-
-// Runs the streaming simulator and reassembles a FleetResult from the
-// ordered per-app sink, so the comparison covers every row, not just the
-// fold total.
-FleetResult StreamAsFleetResult(const TraceSource& source,
-                                const ScalingPolicy& prototype,
-                                FleetStreamOptions options) {
-  FleetResult out;
-  out.per_app.resize(source.app_count());
-  options.per_app_sink = [&out](std::size_t index, const SimMetrics& row) {
-    out.per_app[index] = row;
-  };
-  const FleetStreamResult streamed =
-      SimulateFleetStreamUniform(source, prototype, options);
-  out.total = streamed.total;
-  return out;
-}
-
 struct SweepPoint {
   std::size_t apps = 0;
   double seconds = 0.0;
@@ -194,12 +103,6 @@ struct SweepPoint {
   std::size_t backpressure_waits = 0;
   std::size_t current_rss_bytes = 0;
   std::size_t peak_rss_bytes = 0;
-};
-
-struct ThreadPoint {
-  std::size_t threads = 0;
-  double seconds = 0.0;
-  double apps_per_sec = 0.0;
 };
 
 struct AllocPoint {
@@ -228,76 +131,7 @@ int main(int argc, char** argv) {
   sweep_sim.epoch_seconds = 10.0;
   const ForecasterPolicy sweep_policy(MakeForecasterByName("moving_average_1"));
 
-  // --- Section 1: bit-exact parity at the pre-PR fleet size.
-  std::size_t resident_mismatches = 0;
-  std::size_t stream_mismatches = 0;
-  std::size_t variant_mismatches = 0;
-  std::size_t parity_apps = 0;
-  bool parity_ok = true;
-  if (!args.scale_smoke) {
-    AzureGeneratorOptions gen;
-    gen.num_apps = 32;
-    gen.duration_days = args.smoke ? 1 : 3;
-    gen.seed = 11;
-    const Dataset dataset = GenerateAzureDataset(gen);
-    const DatasetTraceSource dataset_source(dataset);
-    const AzureTraceSource azure_source(gen);
-    parity_apps = dataset.apps.size();
-
-    std::printf("fleet scale bench: parity @ %zu Azure apps x %d days, "
-                "%zu hardware threads, %zu configured\n",
-                dataset.apps.size(), gen.duration_days, hardware, configured);
-
-    const std::vector<std::string> parity_policies = {"moving_average_1",
-                                                      "exp_smoothing"};
-    const std::array<std::size_t, 3> parity_chunks = {1, 7, 64};
-    const std::array<std::size_t, 2> parity_threads = {1, 0};
-    const std::array<std::size_t, 3> parity_bounds = {0, 1, 3};  // 0 = auto.
-    for (const std::string& name : parity_policies) {
-      const ForecasterPolicy prototype(MakeForecasterByName(name));
-      const FleetResult reference =
-          resident_reference::SimulateFleetUniform(dataset, prototype, SimOptions{});
-      const FleetResult resident =
-          SimulateFleetUniform(dataset, prototype, SimOptions{});
-      resident_mismatches += CountRowMismatches(reference, resident);
-      for (const std::size_t chunk : parity_chunks) {
-        for (const std::size_t threads : parity_threads) {
-          for (const std::size_t bound : parity_bounds) {
-            FleetStreamOptions options;
-            options.chunk_apps = chunk;
-            options.threads = threads;
-            options.max_pending_chunks = bound;
-            const FleetResult streamed =
-                StreamAsFleetResult(dataset_source, prototype, options);
-            const std::size_t mismatches = CountRowMismatches(reference, streamed);
-            stream_mismatches += mismatches;
-            if (chunk != parity_chunks.front() ||
-                threads != parity_threads.front() ||
-                bound != parity_bounds.front()) {
-              variant_mismatches += mismatches;
-            }
-          }
-        }
-      }
-      // The lazily generated source must agree with the materialized dataset
-      // end to end, not just trace by trace.
-      FleetStreamOptions lazy;
-      lazy.chunk_apps = 8;
-      stream_mismatches += CountRowMismatches(
-          reference, StreamAsFleetResult(azure_source, prototype, lazy));
-      std::printf("  %-18s resident %zu  stream %zu mismatched fields\n",
-                  name.c_str(), resident_mismatches, stream_mismatches);
-    }
-    parity_ok = resident_mismatches + stream_mismatches + variant_mismatches == 0;
-    std::printf("parity: %s (%zu mismatched fields across %zu policies x "
-                "%zu chunk sizes x %zu thread widths x %zu pending bounds)\n",
-                parity_ok ? "PASS" : "FAIL",
-                resident_mismatches + stream_mismatches + variant_mismatches,
-                parity_policies.size(), parity_chunks.size(),
-                parity_threads.size(), parity_bounds.size());
-  }
-
-  // --- Section 2: sketch-feature parity at fleet scale.
+  // --- Section 1: sketch-feature parity at fleet scale.
   //
   // Tolerances (documented error bound): the moment features differ from
   // the resident oracle only by floating-point reassociation (1e-6
@@ -373,70 +207,7 @@ int main(int argc, char** argv) {
   }
   const bool sketch_ok = sketch_failures == 0;
 
-  // --- Section 3: thread sweep + speedup gate (same shape as
-  // --- bench_fleet_parallel: skipped, cores, reason recorded uniformly).
-  const bool multicore = configured >= 4 && hardware >= 4;
-  const bool speedup_gate_skipped = !multicore;
-  const std::string skip_reason =
-      speedup_gate_skipped
-          ? "machine has " + std::to_string(hardware) + " hardware threads / " +
-                std::to_string(configured) +
-                " configured (< 4): parallel speedup is unmeasurable here"
-          : "";
-  const double speedup_target = 2.0;
-  std::vector<ThreadPoint> thread_sweep;
-  double speedup_at_4 = 0.0;
-  bool speedup_ok = true;
-  if (!args.scale_smoke) {
-    if (speedup_gate_skipped) {
-      std::fprintf(stderr, "warning: speedup gate SKIPPED: %s\n",
-                   skip_reason.c_str());
-    }
-    HuaweiGeneratorOptions sweep_gen = huawei;
-    sweep_gen.num_apps = args.smoke ? 500 : 20000;
-    sweep_gen.seed = 4242;
-    const HuaweiTraceSource source(sweep_gen);
-    std::vector<std::size_t> widths = {1};
-    for (std::size_t t = 2; t < configured; t *= 2) {
-      widths.push_back(t);
-    }
-    if (configured > 1) {
-      widths.push_back(configured);
-    }
-    std::printf("thread sweep: %d apps, widths 1..%zu\n", sweep_gen.num_apps,
-                widths.back());
-    for (const std::size_t threads : widths) {
-      FleetStreamOptions options;
-      options.sim = sweep_sim;
-      options.chunk_apps = 64;
-      options.threads = threads;
-      const auto start = std::chrono::steady_clock::now();
-      const FleetStreamResult result =
-          SimulateFleetStreamUniform(source, sweep_policy, options);
-      ThreadPoint point;
-      point.threads = threads;
-      point.seconds = Seconds(start);
-      point.apps_per_sec =
-          point.seconds > 0.0 ? result.apps / point.seconds : 0.0;
-      thread_sweep.push_back(point);
-      std::printf("  %2zu threads  %8.3f s  %9.0f apps/s\n", point.threads,
-                  point.seconds, point.apps_per_sec);
-    }
-    if (!speedup_gate_skipped) {
-      double at_1 = 0.0;
-      double at_4 = 0.0;
-      for (const ThreadPoint& p : thread_sweep) {
-        if (p.threads == 1) at_1 = p.apps_per_sec;
-        if (p.threads == 4) at_4 = p.apps_per_sec;
-      }
-      speedup_at_4 = at_1 > 0.0 ? at_4 / at_1 : 0.0;
-      speedup_ok = speedup_at_4 >= speedup_target;
-      std::printf("speedup gate: %.2fx at 4 threads (target %.1fx) %s\n",
-                  speedup_at_4, speedup_target, speedup_ok ? "PASS" : "FAIL");
-    }
-  }
-
-  // --- Section 4: zero-allocation hot loop (see header comment and
+  // --- Section 2: zero-allocation hot loop (see header comment and
   // --- bench/alloc_hook.h for the delta protocol).
   const std::size_t alloc_apps = args.smoke ? 500 : 4000;
   const int alloc_short_minutes = args.smoke ? 6 : 10;
@@ -481,8 +252,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(alloc_long.epochs),
               static_cast<unsigned long long>(alloc_delta), per_epoch_allocs);
 
-  // --- Section 5: scale sweep under a fixed memory ceiling. The budget is
-  // the PR 5 cache budget retained as the flat-memory ceiling parameter;
+  // --- Section 3: scale sweep under a fixed memory ceiling. The budget is
+  // the cache budget retained as the flat-memory ceiling parameter;
   // the sweep itself bypasses the cache (single pass — see header).
   const std::size_t memory_budget = args.smoke ? (256u << 10) : (32u << 20);
   const std::size_t rss_slack = 128u << 20;
@@ -544,7 +315,7 @@ int main(int argc, char** argv) {
               rss_slack >> 20, flat_ok ? "PASS" : "FAIL",
               rss_known ? "" : " (rss unavailable)");
 
-  // --- Section 6: two-pass SeriesCache demo + eviction gate.
+  // --- Section 4: two-pass SeriesCache demo + eviction gate.
   SeriesCache::Stats two_pass_stats;
   SeriesCache::Stats eviction_stats;
   bool cache_hits_ok = true;
@@ -589,8 +360,8 @@ int main(int argc, char** argv) {
                 evictions_ok && cache_bytes_ok ? "PASS" : "FAIL");
   }
 
-  const bool all_ok = parity_ok && sketch_ok && speedup_ok && alloc_ok &&
-                      flat_ok && cache_hits_ok && evictions_ok && cache_bytes_ok;
+  const bool all_ok =
+      sketch_ok && alloc_ok && flat_ok && cache_hits_ok && evictions_ok && cache_bytes_ok;
 
   bool json_ok = true;
   if (!args.json_path.empty()) {
@@ -602,18 +373,11 @@ int main(int argc, char** argv) {
         << ", \"scale_smoke\": " << (args.scale_smoke ? "true" : "false")
         << ", \"hardware_concurrency\": " << hardware
         << ", \"configured_threads\": " << configured
-        << ", \"parity_apps\": " << parity_apps
         << ", \"huawei_duration_minutes\": " << huawei.duration_minutes
         << ", \"huawei_seconds_per_sample\": " << huawei.seconds_per_sample
         << ", \"epoch_seconds\": " << sweep_sim.epoch_seconds
         << ", \"chunk_apps\": 64"
         << ", \"memory_budget_bytes\": " << memory_budget << "},\n"
-        << "  \"parity\": {\"resident_mismatched_fields\": " << resident_mismatches
-        << ", \"stream_mismatched_fields\": " << stream_mismatches
-        << ", \"variant_mismatched_fields\": " << variant_mismatches
-        << ", \"mismatched_fields\": "
-        << resident_mismatches + stream_mismatches + variant_mismatches
-        << ", \"ok\": " << (parity_ok ? "true" : "false") << "},\n"
         << "  \"sketch_parity\": {\"apps\": " << sketch_apps
         << ", \"failures\": " << sketch_failures
         << ", \"moment_tolerance_rel\": " << kMomentTolerance
@@ -623,22 +387,6 @@ int main(int argc, char** argv) {
         << ", \"p99_harmonics_error_abs\": " << sketch_p99_harmonics_error
         << ", \"max_harmonics_error_abs\": " << sketch_max_harmonics_error
         << ", \"ok\": " << (sketch_ok ? "true" : "false") << "},\n"
-        << "  \"thread_sweep\": [\n";
-    for (std::size_t i = 0; i < thread_sweep.size(); ++i) {
-      const ThreadPoint& p = thread_sweep[i];
-      out << "    {\"threads\": " << p.threads << ", \"seconds\": " << p.seconds
-          << ", \"apps_per_sec\": " << p.apps_per_sec << "}"
-          << (i + 1 < thread_sweep.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n"
-        << "  \"speedup_gate\": {\"skipped\": "
-        << (speedup_gate_skipped ? "true" : "false")
-        << ", \"cores\": " << hardware
-        << ", \"configured_threads\": " << configured
-        << ", \"speedup_at_4\": " << speedup_at_4
-        << ", \"target\": " << speedup_target
-        << ", \"ok\": " << (speedup_ok ? "true" : "false")
-        << ", \"reason\": \"" << skip_reason << "\"},\n"
         << "  \"alloc_gate\": {\"apps\": " << alloc_apps
         << ", \"short_allocations\": " << alloc_short.allocations
         << ", \"short_epochs\": " << alloc_short.epochs

@@ -110,8 +110,8 @@ int main(int argc, char** argv) {
   const char* const kNames[] = {
       "ar",          "setar",        "fft",
       "exp_smoothing", "holt",       "markov_chain",
-      "arima",       "moving_average_3", "keep_alive_5min",
-      "lstm",        "linear_state",
+      "moving_average_3", "keep_alive_5min", "lstm",
+      "linear_state",
   };
 
   std::vector<ForecasterResult> results;

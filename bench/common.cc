@@ -85,13 +85,11 @@ TrainedFemux GetOrTrainFemux(const Rum& rum) {
   out.model = std::make_shared<FemuxModel>(trained.model);
   out.table = trained.table;
   out.train_seconds = trained.forecast_sim_seconds;
-  out.feature_seconds = trained.feature_extraction_seconds;
   out.cluster_seconds = trained.clustering_seconds;
   SaveModelFile(*out.model, model_path);
   SaveBlockTableFile(out.table, table_path);
-  std::printf("[train] rum=%s forecast_sim=%.1fs features=%.1fs clustering=%.1fs\n",
-              rum.label().c_str(), out.train_seconds, out.feature_seconds,
-              out.cluster_seconds);
+  std::printf("[train] rum=%s forecast_sim=%.1fs clustering=%.1fs\n",
+              rum.label().c_str(), out.train_seconds, out.cluster_seconds);
   return out;
 }
 

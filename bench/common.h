@@ -49,7 +49,6 @@ struct TrainedFemux {
   BlockTable table;
   bool from_cache = false;
   double train_seconds = 0.0;  // 0 when loaded from cache.
-  double feature_seconds = 0.0;
   double cluster_seconds = 0.0;
 };
 

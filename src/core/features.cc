@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/forecast/ar.h"
-#include "src/sim/parallel.h"
 #include "src/stats/adf.h"
 #include "src/stats/bds.h"
 #include "src/stats/descriptive.h"
@@ -210,26 +209,6 @@ void FeatureExtractor::ExtractSketchReferenceInto(std::span<const double> block,
         break;
     }
   }
-}
-
-std::vector<std::vector<double>> ExtractBlockFeatures(const FeatureExtractor& extractor,
-                                                      std::span<const double> series,
-                                                      std::size_t block_size,
-                                                      double mean_execution_ms,
-                                                      std::size_t threads) {
-  const std::size_t blocks = BlockCount(series.size(), block_size);
-  std::vector<std::vector<double>> rows(blocks);
-  ParallelFor(
-      blocks,
-      [&](std::size_t b) {
-        // Per worker thread, reused across the blocks it claims.
-        thread_local FeatureExtractor::Workspace workspace;
-        extractor.ExtractInto(BlockSlice(series, b, block_size), mean_execution_ms,
-                              &workspace);
-        rows[b] = workspace.out;
-      },
-      threads);
-  return rows;
 }
 
 std::size_t BlockCount(std::size_t n, std::size_t block_size) {

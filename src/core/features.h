@@ -118,18 +118,6 @@ class FeatureExtractor {
   FeatureMode mode_;
 };
 
-// One feature row per complete block of `series`, with blocks fanned out
-// over the process thread pool (src/sim/thread_pool.h). Row b is
-// bit-identical to a serial ExtractInto over BlockSlice(series, b): every
-// block writes only its own row, extraction is pure given the block
-// contents, the FFT plan cache is thread-safe, and per-thread workspaces
-// carry no cross-block state — so the output is independent of the thread
-// count (`threads == 1` runs serially inline).
-std::vector<std::vector<double>> ExtractBlockFeatures(
-    const FeatureExtractor& extractor, std::span<const double> series,
-    std::size_t block_size = kDefaultBlockMinutes, double mean_execution_ms = 0.0,
-    std::size_t threads = 0);
-
 // Number of complete blocks in a series of `n` samples.
 std::size_t BlockCount(std::size_t n, std::size_t block_size = kDefaultBlockMinutes);
 

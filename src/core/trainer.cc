@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
+#include <functional>
 #include <utility>
 
 #include "src/forecast/registry.h"
 #include "src/sim/fleet.h"
 #include "src/sim/parallel.h"
 #include "src/sim/stream_fold.h"
+#include "src/trace/split.h"
 
 namespace femux {
 namespace {
@@ -37,28 +38,6 @@ std::vector<double> SimulateOnePlan(const std::string& name,
   return RollingForecast(*forecaster, demand);
 }
 
-// Per-app plans, shared with `cache` when provided so repeated sweeps over
-// the same dataset (e.g. one training pass per RUM variant) simulate each
-// (app, forecaster) rolling plan exactly once.
-std::vector<PlanCache::Plan> AppPlans(const std::vector<std::string>& forecaster_names,
-                                      const std::vector<double>& demand,
-                                      std::size_t refit_interval, PlanCache* cache,
-                                      int app_index, double epoch_seconds) {
-  std::vector<PlanCache::Plan> plans;
-  plans.reserve(forecaster_names.size());
-  for (const std::string& name : forecaster_names) {
-    if (cache != nullptr) {
-      plans.push_back(cache->GetOrCompute(
-          app_index, name, refit_interval, epoch_seconds,
-          [&] { return SimulateOnePlan(name, demand, refit_interval); }));
-    } else {
-      plans.push_back(std::make_shared<const std::vector<double>>(
-          SimulateOnePlan(name, demand, refit_interval)));
-    }
-  }
-  return plans;
-}
-
 std::vector<std::string> DefaultNames() {
   std::vector<std::string> names;
   for (const auto& f : MakeFemuxForecasterSet()) {
@@ -81,18 +60,16 @@ void ConfigureModel(const Rum& rum, const TrainerOptions& options, FemuxModel* m
       options.margins.empty() ? std::vector<double>{1.0} : options.margins;
 }
 
-// Rolling plans, per-block RUM rows, and per-block features for one app.
-// This is the unit of work both the resident table builder and the
-// streaming trainer fan out; block scoring is pure given the app's series,
-// so results are bit-identical wherever the app came from.
+// Rolling plans, per-block RUM rows, and per-block features for one app —
+// the unit of work the training fold fans out. Block scoring is pure given
+// the app's series, so results are bit-identical wherever the app came from.
 struct AppBlockRows {
   std::vector<std::vector<double>> rum;       // [block][candidate]
   std::vector<std::vector<double>> features;  // [block][feature]
 };
 
-AppBlockRows BuildAppBlockRows(const AppTrace& app, int app_index,
-                               const FemuxModel& model, const Rum& rum,
-                               const TrainerOptions& options,
+AppBlockRows BuildAppBlockRows(const AppTrace& app, const FemuxModel& model,
+                               const Rum& rum, const TrainerOptions& options,
                                const FeatureExtractor& extractor, bool exec_aware) {
   const std::size_t num_forecasters = model.forecaster_names.size();
   const std::size_t num_margins = model.margins.size();
@@ -106,11 +83,9 @@ AppBlockRows BuildAppBlockRows(const AppTrace& app, int app_index,
   const std::vector<double> demand = DemandSeries(app, sim.epoch_seconds);
   const std::vector<double> arrivals = ArrivalSeries(app, sim.epoch_seconds);
   // One rolling plan per forecaster per app, sliced per block below —
-  // candidates (forecaster × margin) only rescale the slice. With a
-  // plan cache the simulation is also shared across training calls.
-  const std::vector<PlanCache::Plan> plans =
-      AppPlans(model.forecaster_names, demand, options.refit_interval,
-               options.plan_cache, app_index, sim.epoch_seconds);
+  // candidates (forecaster × margin) only rescale the slice.
+  const std::vector<std::vector<double>> plans =
+      SimulateForecasts(model.forecaster_names, demand, options.refit_interval);
 
   const std::size_t blocks = BlockCount(demand.size(), options.block_minutes);
   AppBlockRows out;
@@ -135,7 +110,7 @@ AppBlockRows BuildAppBlockRows(const AppTrace& app, int app_index,
         const auto arrivals_block =
             BlockSlice(arrivals_span, b, options.block_minutes);
         for (std::size_t f = 0; f < num_forecasters; ++f) {
-          const auto plan_block = BlockSlice(std::span<const double>(*plans[f]), b,
+          const auto plan_block = BlockSlice(std::span<const double>(plans[f]), b,
                                              options.block_minutes);
           for (std::size_t m = 0; m < num_margins; ++m) {
             for (std::size_t i = 0; i < plan_block.size(); ++i) {
@@ -158,36 +133,206 @@ bool IsExecAware(const FemuxModel& model) {
                    Feature::kExecTime) != model.features.end();
 }
 
-}  // namespace
+// The app-level fan-out of training: apps of `source` are scored chunk by
+// chunk on the pool and handed to `sink` in strict app-index order.
+// `chunk_apps` 0 = auto; `max_pending_chunks` bounds the results held back
+// behind a slow chunk.
+OrderedChunkStats FoldAppBlockRows(
+    const TraceSource& source, const FemuxModel& model, const Rum& rum,
+    const TrainerOptions& options, std::size_t chunk_apps,
+    std::size_t max_pending_chunks,
+    const std::function<void(std::size_t, AppBlockRows&&)>& sink) {
+  const bool exec_aware = IsExecAware(model);
+  const FeatureExtractor extractor(model.features, model.feature_mode);
+  const std::size_t num_apps = source.app_count();
+  if (chunk_apps == 0) {
+    chunk_apps = BalancedChunkSize(num_apps, options.threads, 16);
+  }
+  OrderedChunkOptions fold_options;
+  fold_options.threads = options.threads;
+  fold_options.max_pending_chunks = max_pending_chunks;
+  return ParallelOrderedChunks<std::vector<AppBlockRows>>(
+      (num_apps + chunk_apps - 1) / chunk_apps, fold_options,
+      [&](std::size_t c) {
+        const std::size_t begin = c * chunk_apps;
+        const std::size_t end = std::min(num_apps, begin + chunk_apps);
+        std::vector<AppBlockRows> chunk;
+        chunk.reserve(end - begin);
+        for (std::size_t i = begin; i < end; ++i) {
+          // The app's trace, series, and rolling plans live only for this
+          // iteration; its block rows are all that survive.
+          chunk.push_back(BuildAppBlockRows(source.MakeApp(i), model, rum, options,
+                                            extractor, exec_aware));
+        }
+        return chunk;
+      },
+      [&](std::size_t c, std::vector<AppBlockRows>&& chunk) {
+        for (std::size_t k = 0; k < chunk.size(); ++k) {
+          sink(c * chunk_apps + k, std::move(chunk[k]));
+        }
+      });
+}
 
-PlanCache::Plan PlanCache::GetOrCompute(
-    int app_index, const std::string& forecaster_name, std::size_t refit_interval,
-    double epoch_seconds, const std::function<std::vector<double>()>& compute) {
-  const Key key(app_index, forecaster_name, refit_interval,
-                static_cast<long long>(epoch_seconds * 1000.0));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = plans_.find(key);
-    if (it != plans_.end()) {
-      ++hits_;
-      return it->second;
+// Resident callers fold a copy of the selected apps. Their rows cost
+// nothing to hold, so admission is never throttled.
+std::size_t ResidentPendingBound(const Dataset& apps) {
+  return std::max<std::size_t>(1, apps.apps.size());
+}
+
+// The learned-state post-pass (DESIGN.md §15) over the rows the fit saw;
+// row_apps[r] is the source index of rows[r].
+void TrainClusterLearnedState(const std::vector<std::vector<double>>& rows,
+                              const std::vector<std::size_t>& row_apps,
+                              const TraceSource& source,
+                              const TrainerOptions& options, FemuxModel* model) {
+  model->cluster_learned_state.clear();
+  if (model->classifier != ClassifierKind::kKMeans) {
+    return;
+  }
+  const std::size_t k = model->cluster_to_forecaster.size();
+  if (k == 0 || !model->scaler.fitted()) {
+    return;
+  }
+  // Which clusters picked a forecaster with trainable opaque state? With
+  // the default (all closed-form) set this finds none and the pass costs a
+  // handful of factory calls.
+  std::vector<bool> needs(k, false);
+  bool any = false;
+  for (std::size_t c = 0; c < k; ++c) {
+    const std::unique_ptr<Forecaster> probe =
+        model->MakeForecaster(model->cluster_to_forecaster[c]);
+    if (probe != nullptr && probe->HasOpaqueState()) {
+      needs[c] = true;
+      any = true;
     }
   }
-  auto plan = std::make_shared<const std::vector<double>>(compute());
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, inserted] = plans_.emplace(key, std::move(plan));
-  return it->second;
+  if (!any) {
+    return;
+  }
+  model->cluster_learned_state.assign(k, std::string());
+
+  // Per-cluster row counts by app, replaying the fit's cluster assignment.
+  const std::size_t num_apps = source.app_count();
+  std::vector<std::vector<std::size_t>> counts(
+      k, std::vector<std::size_t>(num_apps, 0));
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::size_t c = model->kmeans.Predict(model->scaler.Transform(rows[r]));
+    if (c < k) {
+      ++counts[c][row_apps[r]];
+    }
+  }
+
+  for (std::size_t c = 0; c < k; ++c) {
+    if (!needs[c]) {
+      continue;
+    }
+    // Representative member: the app with the most rows in the cluster
+    // (ties break to the lowest app index; empty clusters keep an empty
+    // blob and the serving instance trains from its own window instead).
+    std::size_t rep = num_apps;
+    std::size_t best = 0;
+    for (std::size_t a = 0; a < num_apps; ++a) {
+      if (counts[c][a] > best) {
+        best = counts[c][a];
+        rep = a;
+      }
+    }
+    if (rep >= num_apps) {
+      continue;
+    }
+    const std::vector<double> demand =
+        DemandSeries(source.MakeApp(rep), options.sim.epoch_seconds);
+    std::unique_ptr<Forecaster> forecaster =
+        model->MakeForecaster(model->cluster_to_forecaster[c]);
+    if (forecaster == nullptr) {
+      continue;
+    }
+    // The one-shot training path every learned forecaster runs on its
+    // first batch call — triggered here offline, then frozen into the
+    // model as an opaque blob.
+    forecaster->Forecast(demand, 1);
+    model->cluster_learned_state[c] = forecaster->SaveOpaqueState();
+  }
 }
 
-std::size_t PlanCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return plans_.size();
+// The trainer: folds block rows (decimated to `max_rows` when non-zero),
+// fits, and runs the learned post-pass. `table`, when given, also receives
+// every app's full rows.
+StreamTrainResult TrainFromSource(const TraceSource& source, const Rum& rum,
+                                  const TrainerOptions& options,
+                                  std::size_t chunk_apps,
+                                  std::size_t max_pending_chunks,
+                                  std::size_t max_rows, BlockTable* table) {
+  StreamTrainResult result;
+  ConfigureModel(rum, options, &result.model);
+  if (table != nullptr) {
+    table->rum.resize(source.app_count());
+    table->features.resize(source.app_count());
+  }
+
+  // Retained flattened rows, folded in app-index then block order.
+  std::vector<std::vector<double>> rows;
+  std::vector<std::vector<double>> row_rums;
+  std::vector<std::size_t> row_ids;   // Global block index of each kept row.
+  std::vector<std::size_t> row_apps;  // Source app index of each kept row.
+  std::size_t stride = 1;
+
+  const auto sim_start = std::chrono::steady_clock::now();
+  result.peak_pending_chunks =
+      FoldAppBlockRows(
+          source, result.model, rum, options, chunk_apps, max_pending_chunks,
+          [&](std::size_t app, AppBlockRows&& app_rows) {
+            ++result.apps;
+            if (table != nullptr) {
+              table->rum[app] = app_rows.rum;
+              table->features[app] = app_rows.features;
+            }
+            for (std::size_t b = 0; b < app_rows.rum.size(); ++b) {
+              const std::size_t id = result.blocks_seen++;
+              if (id % stride != 0) {
+                continue;
+              }
+              rows.push_back(std::move(app_rows.features[b]));
+              row_rums.push_back(std::move(app_rows.rum[b]));
+              row_ids.push_back(id);
+              row_apps.push_back(app);
+              if (max_rows != 0 && rows.size() > max_rows) {
+                // Double the stride and re-decimate in place. Which rows
+                // survive depends only on their global index, never on
+                // timing, so the retained set is deterministic.
+                stride *= 2;
+                std::size_t kept = 0;
+                for (std::size_t r = 0; r < rows.size(); ++r) {
+                  if (row_ids[r] % stride == 0) {
+                    if (kept != r) {  // Self-move would dangle the buffer.
+                      rows[kept] = std::move(rows[r]);
+                      row_rums[kept] = std::move(row_rums[r]);
+                      row_ids[kept] = row_ids[r];
+                      row_apps[kept] = row_apps[r];
+                    }
+                    ++kept;
+                  }
+                }
+                rows.resize(kept);
+                row_rums.resize(kept);
+                row_ids.resize(kept);
+                row_apps.resize(kept);
+              }
+            }
+          })
+          .peak_pending_chunks;
+  result.forecast_sim_seconds = SecondsSince(sim_start);
+  result.rows_kept = rows.size();
+  result.row_stride = stride;
+
+  const auto cluster_start = std::chrono::steady_clock::now();
+  FitFromRows(rows, row_rums, options, &result.model, &result.cluster_sizes);
+  TrainClusterLearnedState(rows, row_apps, source, options, &result.model);
+  result.clustering_seconds = SecondsSince(cluster_start);
+  return result;
 }
 
-std::size_t PlanCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
+}  // namespace
 
 std::vector<std::vector<double>> SimulateForecasts(
     const std::vector<std::string>& forecaster_names,
@@ -215,32 +360,23 @@ BlockTable BuildBlockTable(const Dataset& dataset, const std::vector<int>& app_i
   FemuxModel& model = model_config != nullptr ? *model_config : local;
   ConfigureModel(rum, options, &model);
 
-  const std::size_t num_apps = app_indices.size();
-
+  const Dataset subset = Subset(dataset, app_indices);
   BlockTable table;
-  table.rum.resize(num_apps);
-  table.features.resize(num_apps);
-
-  const bool exec_aware = IsExecAware(model);
-  const FeatureExtractor extractor(model.features, model.feature_mode);
-
-  ParallelFor(
-      num_apps,
-      [&](std::size_t a) {
-        const AppTrace& app = dataset.apps[static_cast<std::size_t>(app_indices[a])];
-        AppBlockRows rows = BuildAppBlockRows(app, app_indices[a], model, rum,
-                                              options, extractor, exec_aware);
-        table.rum[a] = std::move(rows.rum);
-        table.features[a] = std::move(rows.features);
-      },
-      options.threads);
+  table.rum.resize(subset.apps.size());
+  table.features.resize(subset.apps.size());
+  FoldAppBlockRows(DatasetTraceSource(subset), model, rum, options, /*chunk_apps=*/0,
+                   ResidentPendingBound(subset),
+                   [&table](std::size_t a, AppBlockRows&& rows) {
+                     table.rum[a] = std::move(rows.rum);
+                     table.features[a] = std::move(rows.features);
+                   });
   return table;
 }
 
 void FitFromTable(const BlockTable& table, const TrainerOptions& options,
                   FemuxModel* model, std::vector<std::size_t>* cluster_sizes) {
   // Flatten block rows (app-index order, then block order — the same order
-  // the streaming trainer folds rows in).
+  // the trainer folds rows in).
   std::vector<std::vector<double>> rows;
   std::vector<std::vector<double>> row_rums;
   for (std::size_t a = 0; a < table.rum.size(); ++a) {
@@ -331,83 +467,6 @@ void FitFromRows(const std::vector<std::vector<double>>& rows,
   }
 }
 
-void TrainClusterLearnedState(const BlockTable& table, const Dataset& dataset,
-                              const std::vector<int>& app_indices,
-                              const TrainerOptions& options, FemuxModel* model) {
-  model->cluster_learned_state.clear();
-  if (model->classifier != ClassifierKind::kKMeans) {
-    return;
-  }
-  const std::size_t k = model->cluster_to_forecaster.size();
-  if (k == 0 || !model->scaler.fitted()) {
-    return;
-  }
-  // Which clusters picked a forecaster with trainable opaque state? With
-  // the default (all closed-form) set this finds none and the pass costs a
-  // handful of factory calls.
-  std::vector<bool> needs(k, false);
-  bool any = false;
-  for (std::size_t c = 0; c < k; ++c) {
-    const std::unique_ptr<Forecaster> probe =
-        model->MakeForecaster(model->cluster_to_forecaster[c]);
-    if (probe != nullptr && probe->HasOpaqueState()) {
-      needs[c] = true;
-      any = true;
-    }
-  }
-  if (!any) {
-    return;
-  }
-  model->cluster_learned_state.assign(k, std::string());
-
-  // Per-cluster block counts by app, replaying the fit's cluster
-  // assignment over the table.
-  const std::size_t num_apps = table.features.size();
-  std::vector<std::vector<std::size_t>> counts(
-      k, std::vector<std::size_t>(num_apps, 0));
-  for (std::size_t a = 0; a < num_apps; ++a) {
-    for (const std::vector<double>& raw : table.features[a]) {
-      const std::size_t c = model->kmeans.Predict(model->scaler.Transform(raw));
-      if (c < k) {
-        ++counts[c][a];
-      }
-    }
-  }
-
-  for (std::size_t c = 0; c < k; ++c) {
-    if (!needs[c]) {
-      continue;
-    }
-    // Representative member: the app with the most blocks in the cluster
-    // (ties break to the lowest app index; empty clusters keep an empty
-    // blob and the serving instance trains from its own window instead).
-    std::size_t rep = num_apps;
-    std::size_t best = 0;
-    for (std::size_t a = 0; a < num_apps; ++a) {
-      if (counts[c][a] > best) {
-        best = counts[c][a];
-        rep = a;
-      }
-    }
-    if (rep >= num_apps || rep >= app_indices.size()) {
-      continue;
-    }
-    const AppTrace& app =
-        dataset.apps[static_cast<std::size_t>(app_indices[rep])];
-    const std::vector<double> demand = DemandSeries(app, options.sim.epoch_seconds);
-    std::unique_ptr<Forecaster> forecaster =
-        model->MakeForecaster(model->cluster_to_forecaster[c]);
-    if (forecaster == nullptr) {
-      continue;
-    }
-    // The one-shot training path every learned forecaster runs on its
-    // first batch call — triggered here offline, then frozen into the
-    // model as an opaque blob.
-    forecaster->Forecast(demand, 1);
-    model->cluster_learned_state[c] = forecaster->SaveOpaqueState();
-  }
-}
-
 void MergeBlockTables(BlockTable* base, const BlockTable& extra) {
   base->rum.insert(base->rum.end(), extra.rum.begin(), extra.rum.end());
   base->features.insert(base->features.end(), extra.features.begin(),
@@ -416,105 +475,27 @@ void MergeBlockTables(BlockTable* base, const BlockTable& extra) {
 
 TrainResult TrainFemux(const Dataset& dataset, const std::vector<int>& app_indices,
                        const Rum& rum, const TrainerOptions& options) {
+  const Dataset subset = Subset(dataset, app_indices);
   TrainResult result;
-  const auto sim_start = std::chrono::steady_clock::now();
-  result.table = BuildBlockTable(dataset, app_indices, rum, options, &result.model);
-  result.forecast_sim_seconds = SecondsSince(sim_start);
-
-  const auto cluster_start = std::chrono::steady_clock::now();
-  FitFromTable(result.table, options, &result.model, &result.cluster_sizes);
-  TrainClusterLearnedState(result.table, dataset, app_indices, options,
-                           &result.model);
-  result.clustering_seconds = SecondsSince(cluster_start);
+  StreamTrainResult trained =
+      TrainFromSource(DatasetTraceSource(subset), rum, options, /*chunk_apps=*/0,
+                      ResidentPendingBound(subset), /*max_rows=*/0, &result.table);
+  result.model = std::move(trained.model);
+  result.cluster_sizes = std::move(trained.cluster_sizes);
+  result.forecast_sim_seconds = trained.forecast_sim_seconds;
+  result.clustering_seconds = trained.clustering_seconds;
   return result;
 }
 
 StreamTrainResult TrainFemuxStream(const TraceSource& source, const Rum& rum,
                                    const TrainerOptions& options,
                                    const StreamTrainOptions& stream) {
-  StreamTrainResult result;
-  ConfigureModel(rum, options, &result.model);
-  const FemuxModel& model = result.model;
-  const bool exec_aware = IsExecAware(model);
-  const FeatureExtractor extractor(model.features, model.feature_mode);
-
-  const std::size_t num_apps = source.app_count();
-  const std::size_t chunk_apps = stream.chunk_apps == 0 ? 16 : stream.chunk_apps;
-  const std::size_t num_chunks = (num_apps + chunk_apps - 1) / chunk_apps;
-
-  // Retained flattened rows. Folding happens in app-index order, so with an
-  // unlimited row budget these match FitFromTable's flattening of the
-  // resident BlockTable element for element.
-  std::vector<std::vector<double>> rows;
-  std::vector<std::vector<double>> row_rums;
-  std::vector<std::size_t> row_ids;  // Global block index of each kept row.
-  std::size_t stride = 1;
-
-  const auto sim_start = std::chrono::steady_clock::now();
-  // Bounded ordered fold: one slow chunk cannot let fast workers pile up
+  // Bounded admission: one slow chunk cannot let fast workers pile up
   // unbounded held-back row sets (each can be thousands of feature rows).
-  OrderedChunkOptions fold_options;
-  fold_options.threads = options.threads;
-  fold_options.max_pending_chunks =
-      2 * (options.threads > 0 ? options.threads : ConfiguredThreadCount()) + 2;
-  result.peak_pending_chunks = ParallelOrderedChunksBounded<std::vector<AppBlockRows>>(
-      num_chunks, fold_options,
-      [&](std::size_t c) {
-        const std::size_t begin = c * chunk_apps;
-        const std::size_t end = std::min(num_apps, begin + chunk_apps);
-        std::vector<AppBlockRows> chunk;
-        chunk.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          // The app's trace, series, and rolling plans live only for this
-          // iteration; its block rows are all that survive.
-          const AppTrace app = source.MakeApp(i);
-          chunk.push_back(BuildAppBlockRows(app, static_cast<int>(i), model, rum,
-                                            options, extractor, exec_aware));
-        }
-        return chunk;
-      },
-      [&](std::size_t, std::vector<AppBlockRows>&& chunk) {
-        for (AppBlockRows& app_rows : chunk) {
-          ++result.apps;
-          for (std::size_t b = 0; b < app_rows.rum.size(); ++b) {
-            const std::size_t id = result.blocks_seen++;
-            if (id % stride != 0) {
-              continue;
-            }
-            rows.push_back(std::move(app_rows.features[b]));
-            row_rums.push_back(std::move(app_rows.rum[b]));
-            row_ids.push_back(id);
-            if (stream.max_rows != 0 && rows.size() > stream.max_rows) {
-              // Double the stride and re-decimate in place. Which rows
-              // survive depends only on their global index, never on
-              // timing, so the retained set is deterministic.
-              stride *= 2;
-              std::size_t kept = 0;
-              for (std::size_t r = 0; r < rows.size(); ++r) {
-                if (row_ids[r] % stride == 0) {
-                  if (kept != r) {  // Self-move would dangle the buffer.
-                    rows[kept] = std::move(rows[r]);
-                    row_rums[kept] = std::move(row_rums[r]);
-                    row_ids[kept] = row_ids[r];
-                  }
-                  ++kept;
-                }
-              }
-              rows.resize(kept);
-              row_rums.resize(kept);
-              row_ids.resize(kept);
-            }
-          }
-        }
-      }).peak_pending_chunks;
-  result.forecast_sim_seconds = SecondsSince(sim_start);
-  result.rows_kept = rows.size();
-  result.row_stride = stride;
-
-  const auto cluster_start = std::chrono::steady_clock::now();
-  FitFromRows(rows, row_rums, options, &result.model, &result.cluster_sizes);
-  result.clustering_seconds = SecondsSince(cluster_start);
-  return result;
+  const std::size_t participants =
+      options.threads > 0 ? options.threads : ConfiguredThreadCount();
+  return TrainFromSource(source, rum, options, stream.chunk_apps,
+                         2 * participants + 2, stream.max_rows, nullptr);
 }
 
 TrainResult RetrainWithNewApps(const TrainResult& previous, const Dataset& dataset,
@@ -533,8 +514,7 @@ TrainResult RetrainWithNewApps(const TrainResult& previous, const Dataset& datas
   const auto cluster_start = std::chrono::steady_clock::now();
   FitFromTable(result.table, options, &result.model, &result.cluster_sizes);
   // The refit may have reassigned clusters; inherited learned blobs would
-  // no longer match their clusters' forecasters, so drop them (callers can
-  // re-run TrainClusterLearnedState with full dataset context).
+  // no longer match their clusters' forecasters, so drop them.
   result.model.cluster_learned_state.clear();
   result.clustering_seconds = SecondsSince(cluster_start);
   return result;

@@ -8,16 +8,18 @@
 // the lowest total RUM among its member blocks. Decision-tree and
 // random-forest classifiers (trained on per-block argmin labels) are
 // available for the supervised-baseline comparison.
+//
+// There is one trainer. Apps fan out through the ordered chunk fold of
+// src/sim/stream_fold.h, which hands each app's block rows to the fit in
+// app-index order; TrainFemuxStream runs it on any TraceSource, and the
+// resident entry points (TrainFemux, BuildBlockTable, RetrainWithNewApps)
+// run it on DatasetTraceSource(Subset(dataset, app_indices)).
 #ifndef SRC_CORE_TRAINER_H_
 #define SRC_CORE_TRAINER_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
+#include <span>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "src/core/model.h"
@@ -26,33 +28,6 @@
 #include "src/trace/trace.h"
 
 namespace femux {
-
-// Thread-safe memo of per-(app, forecaster) rolling forecast plans. A plan
-// depends only on the app's demand series (dataset + epoch length), the
-// forecaster configuration, and the refit stride — never on the RUM — so a
-// training sweep over several RUM variants can share one cache and pay for
-// each rolling simulation exactly once. Keys use the app's index into the
-// dataset: use one cache per dataset.
-class PlanCache {
- public:
-  using Plan = std::shared_ptr<const std::vector<double>>;
-
-  // Returns the cached plan for the key, or runs `compute`, stores its
-  // result, and returns it. Concurrent misses on one key may compute twice;
-  // the first insertion wins (plans are deterministic, so both are equal).
-  Plan GetOrCompute(int app_index, const std::string& forecaster_name,
-                    std::size_t refit_interval, double epoch_seconds,
-                    const std::function<std::vector<double>()>& compute);
-
-  std::size_t size() const;
-  std::size_t hits() const;
-
- private:
-  using Key = std::tuple<int, std::string, std::size_t, long long>;
-  mutable std::mutex mu_;
-  std::map<Key, Plan> plans_;
-  std::size_t hits_ = 0;
-};
 
 struct TrainerOptions {
   std::size_t block_minutes = kDefaultBlockMinutes;
@@ -72,9 +47,6 @@ struct TrainerOptions {
   // (the paper tunes forecaster parameters on RUM; asymmetric cold-start
   // vs memory costs reward upward-biased forecasts).
   std::vector<double> margins = {1.0, 1.25, 1.5};
-  // Optional cross-call rolling-plan reuse (multi-RUM sweeps over one
-  // dataset). Not owned; must outlive the training calls using it.
-  PlanCache* plan_cache = nullptr;
 };
 
 // Per-app, per-block, per-candidate RUM values plus per-block features.
@@ -93,15 +65,16 @@ struct TrainResult {
   BlockTable table;
   std::vector<std::size_t> cluster_sizes;
   double forecast_sim_seconds = 0.0;
-  double feature_extraction_seconds = 0.0;
   double clustering_seconds = 0.0;
 };
 
+// The trainer over a resident dataset: TrainFemuxStream's fit (learned
+// post-pass included) plus the full block table of `app_indices`.
 TrainResult TrainFemux(const Dataset& dataset, const std::vector<int>& app_indices,
                        const Rum& rum, const TrainerOptions& options);
 
 // Builds only the block table (plans, per-block RUMs, features) without
-// fitting a classifier. TrainFemux = BuildBlockTable + FitFromTable.
+// fitting a classifier.
 BlockTable BuildBlockTable(const Dataset& dataset, const std::vector<int>& app_indices,
                            const Rum& rum, const TrainerOptions& options,
                            FemuxModel* model_config);
@@ -113,32 +86,29 @@ BlockTable BuildBlockTable(const Dataset& dataset, const std::vector<int>& app_i
 void FitFromTable(const BlockTable& table, const TrainerOptions& options,
                   FemuxModel* model, std::vector<std::size_t>* cluster_sizes);
 
-// Post-pass over a fitted K-means model (DESIGN.md §15): for every cluster
-// whose chosen forecaster exposes opaque learned state, trains one instance
-// offline on the cluster's representative member app (the app with the most
-// blocks classified into the cluster) and stores the blob in
-// model->cluster_learned_state, so serving never trains online. No-op when
-// no candidate forecaster is learned — training with the default set is
-// unchanged. TrainFemux calls this automatically.
-void TrainClusterLearnedState(const BlockTable& table, const Dataset& dataset,
-                              const std::vector<int>& app_indices,
-                              const TrainerOptions& options, FemuxModel* model);
-
 // (Re)fits the classifier from already-flattened block rows (features and
 // per-candidate RUMs, parallel vectors). FitFromTable flattens and calls
-// this; the streaming trainer feeds it directly.
+// this; the trainer feeds it directly.
 void FitFromRows(const std::vector<std::vector<double>>& rows,
                  const std::vector<std::vector<double>>& row_rums,
                  const TrainerOptions& options, FemuxModel* model,
                  std::vector<std::size_t>* cluster_sizes);
 
-// Streaming training over a TraceSource: apps are generated, forecast-
-// simulated, and block-scored chunk by chunk, and only the flattened block
-// rows are retained — the per-app traces, series, and plans are discarded
-// with each chunk, so peak memory is O(chunk + retained rows) instead of
-// O(fleet).
+// Training over a TraceSource: apps are generated, forecast-simulated, and
+// block-scored chunk by chunk, and only the flattened block rows are
+// retained — the per-app traces, series, and plans are discarded with each
+// chunk, so peak memory is O(chunk + retained rows) instead of O(fleet).
+//
+// After the fit, a post-pass (DESIGN.md §15) trains every K-means cluster
+// whose chosen forecaster exposes opaque learned state once, offline, on
+// the cluster's representative app (the app with the most retained rows in
+// the cluster, ties to the lowest index), and stores the blob in
+// model.cluster_learned_state, so serving never trains online. It is a
+// no-op when no candidate forecaster is learned.
 struct StreamTrainOptions {
-  std::size_t chunk_apps = 16;  // Apps per generation/scoring chunk (0 = 16).
+  // Apps per generation/scoring chunk. 0 = auto: about four chunks per
+  // participant, max(1, apps / (4 x threads)), at most 16.
+  std::size_t chunk_apps = 16;
   // Cap on retained block rows. 0 keeps every row, making the fit
   // bit-identical to TrainFemux over the materialized dataset. When the
   // retained set would exceed the cap, the keep-stride doubles and retained
@@ -169,7 +139,8 @@ void MergeBlockTables(BlockTable* base, const BlockTable& extra);
 
 // Incremental retraining: extend a previous training result with newly
 // collected apps and refit the classifier, without re-simulating the old
-// apps' forecasts.
+// apps' forecasts. The refit may reassign clusters, so inherited learned
+// blobs are dropped rather than re-trained.
 TrainResult RetrainWithNewApps(const TrainResult& previous, const Dataset& dataset,
                                const std::vector<int>& new_app_indices,
                                const Rum& rum, const TrainerOptions& options);

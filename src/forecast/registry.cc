@@ -4,7 +4,6 @@
 #include <string>
 
 #include "src/forecast/ar.h"
-#include "src/forecast/arima.h"
 #include "src/forecast/fft_forecaster.h"
 #include "src/forecast/linear_state.h"
 #include "src/forecast/lstm.h"
@@ -88,9 +87,6 @@ std::unique_ptr<Forecaster> MakeForecasterByName(std::string_view name) {
   }
   if (name == "linear_state") {
     return std::make_unique<LinearStateForecaster>();
-  }
-  if (name == "arima") {
-    return std::make_unique<ArimaForecaster>();
   }
   std::size_t window = 0;
   if (ParseTrailingNumber(name, "moving_average_", "", &window)) {

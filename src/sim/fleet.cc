@@ -5,7 +5,8 @@
 #include <cstdlib>
 #include <utility>
 
-#include "src/sim/parallel.h"
+#include "src/sim/fleet_stream.h"
+#include "src/trace/stream.h"
 
 namespace femux {
 
@@ -204,35 +205,18 @@ FleetResult SimulateFleet(const Dataset& dataset, const PolicyFactory& factory,
                           std::size_t threads, SeriesCache* series_cache) {
   FleetResult result;
   result.per_app.resize(dataset.apps.size());
-  ParallelFor(
-      dataset.apps.size(),
-      [&](std::size_t i) {
-        const AppTrace& app = dataset.apps[i];
-        SimOptions app_options = options;
-        app_options.min_scale = respect_app_min_scale ? app.config.min_scale : 0;
-        app_options.memory_gb_per_unit =
-            app.consumed_memory_mb > 0.0 ? app.consumed_memory_mb / 1024.0
-                                         : options.memory_gb_per_unit;
-        std::shared_ptr<const std::vector<double>> demand;
-        std::shared_ptr<const std::vector<double>> arrivals;
-        if (series_cache != nullptr) {
-          SeriesCache::Series series = series_cache->GetOrCompute(
-              app, static_cast<int>(i), app_options.epoch_seconds);
-          demand = std::move(series.demand);
-          arrivals = std::move(series.arrivals);
-        } else {
-          demand = std::make_shared<const std::vector<double>>(
-              DemandSeries(app, app_options.epoch_seconds));
-          arrivals = std::make_shared<const std::vector<double>>(
-              ArrivalSeries(app, app_options.epoch_seconds));
-        }
-        std::unique_ptr<ScalingPolicy> policy = factory(static_cast<int>(i));
-        result.per_app[i] = SimulateApp(*demand, *arrivals, *policy, app_options);
-      },
-      threads);
-  for (const SimMetrics& m : result.per_app) {
-    result.total += m;
-  }
+  FleetStreamOptions stream;
+  stream.sim = options;
+  stream.respect_app_min_scale = respect_app_min_scale;
+  stream.threads = threads;
+  stream.chunk_apps = 0;  // About four chunks per participant.
+  // Resident rows cost nothing to hold, so admission is never throttled.
+  stream.max_pending_chunks = std::max<std::size_t>(1, dataset.apps.size());
+  stream.series_cache = series_cache;
+  stream.per_app_sink = [&result](std::size_t i, const SimMetrics& row) {
+    result.per_app[i] = row;
+  };
+  result.total = SimulateFleetStream(DatasetTraceSource(dataset), factory, stream).total;
   return result;
 }
 

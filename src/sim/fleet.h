@@ -99,12 +99,12 @@ class SeriesCache {
 // `series_cache` (optional) reuses demand/arrival series across calls;
 // single-shot callers pass nothing and pay no caching cost.
 //
-// Determinism contract (DESIGN.md §10): apps fan out over the process
-// thread pool, each worker driving its own policy instance from `factory`
-// (clones must not share mutable state — see the Clone() audit test) and
-// writing only its own `per_app` row; the total is then reduced in app-index
-// order on the calling thread. The result is therefore bit-identical for
-// any thread count, including `threads == 1` (fully serial inline).
+// An adapter over SimulateFleetStream (fleet_stream.h) on a
+// DatasetTraceSource: rows arrive through its ordered per_app_sink. Each
+// worker drives its own policy instance from `factory` (clones must not
+// share mutable state — see the Clone() audit test) and the total is folded
+// in app-index order, so the result is bit-identical for any thread count,
+// including `threads == 1` (fully serial inline; DESIGN.md §10).
 FleetResult SimulateFleet(const Dataset& dataset, const PolicyFactory& factory,
                           SimOptions options, bool respect_app_min_scale = false,
                           std::size_t threads = 0, SeriesCache* series_cache = nullptr);

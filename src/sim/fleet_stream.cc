@@ -37,7 +37,9 @@ FleetStreamResult SimulateFleetStream(const TraceSource& source,
                                       const PolicyFactory& factory,
                                       const FleetStreamOptions& options) {
   const std::size_t num_apps = source.app_count();
-  const std::size_t chunk_apps = options.chunk_apps == 0 ? 64 : options.chunk_apps;
+  const std::size_t chunk_apps =
+      options.chunk_apps == 0 ? BalancedChunkSize(num_apps, options.threads, 64)
+                              : options.chunk_apps;
   const std::size_t num_chunks = (num_apps + chunk_apps - 1) / chunk_apps;
 
   FleetStreamResult result;
@@ -53,7 +55,7 @@ FleetStreamResult SimulateFleetStream(const TraceSource& source,
     fold_options.max_pending_chunks = 2 * participants + 2;
   }
 
-  const OrderedChunkStats fold_stats = ParallelOrderedChunksBounded<ChunkMetrics>(
+  const OrderedChunkStats fold_stats = ParallelOrderedChunks<ChunkMetrics>(
       num_chunks, fold_options,
       [&](std::size_t c) {
         const std::size_t begin = c * chunk_apps;
@@ -97,8 +99,8 @@ FleetStreamResult SimulateFleetStream(const TraceSource& source,
       },
       [&](std::size_t c, ChunkMetrics&& chunk) {
         // Chunks arrive here in index order, and rows within a chunk are in
-        // index order, so this accumulation performs the exact additions of
-        // SimulateFleet's app-order reduction — bit-identical totals.
+        // index order, so the total is the app-order reduction for any
+        // chunking — bit-identical totals.
         const std::size_t begin = c * chunk_apps;
         for (std::size_t k = 0; k < chunk.per_app.size(); ++k) {
           result.total += chunk.per_app[k];

@@ -1,20 +1,19 @@
 // Streaming fleet simulation: simulate arbitrarily large fleets under a
-// fixed memory budget.
+// fixed memory budget. This is the only fleet simulator; SimulateFleet
+// (fleet.h) is an adapter that runs it over a resident dataset.
 //
-// SimulateFleet (fleet.h) materializes the whole dataset and a per-app
-// metrics vector — fine at 32 apps, fatal at 10^5+. SimulateFleetStream
-// instead pulls apps lazily from a TraceSource in contiguous index chunks:
-// each worker generates a chunk's traces, expands its series, simulates it,
-// and hands a small vector of per-app metrics to an ordered fold that
-// accumulates the fleet total in strict app-index order before the chunk is
-// discarded. Peak residency is O(threads x chunk) regardless of fleet size.
+// SimulateFleetStream pulls apps lazily from a TraceSource in contiguous
+// index chunks: each worker generates a chunk's traces, expands its series,
+// simulates it, and hands a small vector of per-app metrics to an ordered
+// fold that accumulates the fleet total in strict app-index order before
+// the chunk is discarded. Peak residency is O(threads x chunk) regardless
+// of fleet size.
 //
-// Determinism contract: identical to the resident path. Per-app metrics
-// depend only on (source, factory, options); the total is folded in the
-// same app-index order SimulateFleet reduces in, so for any thread count
-// and any chunk size the result is bit-identical to
-// SimulateFleet(source.Materialize(), ...) — regression-tested in
-// tests/sim/fleet_stream_test.cc and gated in bench/bench_fleet_scale.
+// Determinism contract: per-app metrics depend only on (source, factory,
+// options), and the total is folded in app-index order, so for any thread
+// count, chunk size and pending bound the result is bit-identical —
+// regression-tested in tests/sim/fleet_stream_test.cc and against the
+// committed golden in tests/sim/fleet_determinism_test.cc.
 #ifndef SRC_SIM_FLEET_STREAM_H_
 #define SRC_SIM_FLEET_STREAM_H_
 
@@ -32,7 +31,9 @@ struct FleetStreamOptions {
   SimOptions sim;
   bool respect_app_min_scale = false;
   std::size_t threads = 0;     // 0 = FEMUX_THREADS / hardware concurrency.
-  std::size_t chunk_apps = 64; // Apps generated + simulated per chunk (0 = 64).
+  // Apps generated + simulated per chunk. 0 = auto: about four chunks per
+  // participant, max(1, apps / (4 x threads)), at most 64.
+  std::size_t chunk_apps = 64;
   // Backpressure bound on chunks admitted past the fold frontier. 0 = auto
   // (2 x participants + 2: every worker can have one chunk in flight and
   // one held back, plus slack). Bounds transient memory when one slow chunk

@@ -1,4 +1,5 @@
-// Deterministic fold over parallel chunk computations.
+// Deterministic fold over parallel chunk computations — the one app-level
+// fan-out behind fleet simulation and training (DESIGN.md §11).
 //
 // ParallelFor completes chunk bodies in nondeterministic order across
 // workers, and floating-point accumulation is not associative — a streaming
@@ -10,15 +11,15 @@
 // pending map. The fold order — and therefore every accumulated bit — is
 // identical for any thread count and chunk size partition.
 //
-// Backpressure (DESIGN.md §14): an unbounded pending map lets a fast worker
-// race arbitrarily far ahead of the fold frontier, so transient memory
-// scales with thread-count skew instead of with the configured chunk size.
-// The bounded variant admits chunk c into compute only once c < next + W
-// (W = max_pending_chunks), capping held-back results at W. Deadlock-free
-// for any W >= 1 because the pool claims chunk indices in increasing order:
-// the worker holding the globally smallest unfolded chunk always satisfies
-// c == next and proceeds, and folding it advances the frontier that admits
-// everyone else.
+// Backpressure (DESIGN.md §14): a fast worker must not race arbitrarily far
+// ahead of the fold frontier, or transient memory scales with thread-count
+// skew instead of with the configured chunk size. Chunk c is admitted into
+// compute only once c < next + W (W = max_pending_chunks), capping held-back
+// results at W. Deadlock-free for any W >= 1 because the pool claims chunk
+// indices in increasing order: the worker holding the globally smallest
+// unfolded chunk always satisfies c == next and proceeds, and folding it
+// advances the frontier that admits everyone else. Callers whose results
+// cost nothing to hold pass W >= num_chunks, which never waits.
 #ifndef SRC_SIM_STREAM_FOLD_H_
 #define SRC_SIM_STREAM_FOLD_H_
 
@@ -38,13 +39,12 @@ namespace femux {
 struct OrderedChunkOptions {
   std::size_t threads = 0;  // 0 = pool default (FEMUX_THREADS / hw).
   // Upper bound on chunks admitted past the fold frontier (compute slots +
-  // held-back results). 0 = unbounded (the legacy behavior).
-  std::size_t max_pending_chunks = 0;
+  // held-back results). Values below 1 are treated as 1.
+  std::size_t max_pending_chunks = 1;
 };
 
 struct OrderedChunkStats {
-  // Peak completed-but-not-yet-due results held back; <= max_pending_chunks
-  // when a bound is set.
+  // Peak completed-but-not-yet-due results held back; <= max_pending_chunks.
   std::size_t peak_pending_chunks = 0;
   // Times a worker blocked waiting for the fold frontier to advance.
   std::size_t backpressure_waits = 0;
@@ -55,7 +55,7 @@ struct OrderedChunkStats {
 // an internal mutex on whichever worker completes the due chunk; it must be
 // cheap and must not submit nested parallel work.
 template <typename ChunkResult>
-OrderedChunkStats ParallelOrderedChunksBounded(
+OrderedChunkStats ParallelOrderedChunks(
     std::size_t num_chunks, const OrderedChunkOptions& options,
     const std::function<ChunkResult(std::size_t)>& compute,
     const std::function<void(std::size_t, ChunkResult&&)>& fold) {
@@ -65,12 +65,12 @@ OrderedChunkStats ParallelOrderedChunksBounded(
   std::size_t next = 0;
   bool failed = false;
   OrderedChunkStats stats;
-  const std::size_t bound = options.max_pending_chunks;
+  const std::size_t bound = std::max<std::size_t>(1, options.max_pending_chunks);
 
   ParallelFor(
       num_chunks,
       [&](std::size_t c) {
-        if (bound > 0) {
+        {
           std::unique_lock<std::mutex> lock(mu);
           if (!failed && c >= next + bound) {
             ++stats.backpressure_waits;
@@ -109,24 +109,10 @@ OrderedChunkStats ParallelOrderedChunksBounded(
           ++next;
           advanced = true;
         }
-        if (advanced && bound > 0) admitted.notify_all();
+        if (advanced) admitted.notify_all();
       },
       options.threads);
   return stats;
-}
-
-// Legacy unbounded entry point; returns the peak number of out-of-order
-// chunk results held back (the transient memory beyond one chunk).
-template <typename ChunkResult>
-std::size_t ParallelOrderedChunks(
-    std::size_t num_chunks, const std::function<ChunkResult(std::size_t)>& compute,
-    const std::function<void(std::size_t, ChunkResult&&)>& fold,
-    std::size_t threads = 0) {
-  OrderedChunkOptions options;
-  options.threads = threads;
-  return ParallelOrderedChunksBounded<ChunkResult>(num_chunks, options, compute,
-                                                   fold)
-      .peak_pending_chunks;
 }
 
 }  // namespace femux

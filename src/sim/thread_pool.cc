@@ -19,6 +19,12 @@ std::size_t ConfiguredThreadCount() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+std::size_t BalancedChunkSize(std::size_t items, std::size_t threads, std::size_t cap) {
+  const std::size_t participants = threads > 0 ? threads : ConfiguredThreadCount();
+  return std::clamp<std::size_t>(items / (4 * participants), 1,
+                                 std::max<std::size_t>(1, cap));
+}
+
 ThreadPool& ThreadPool::Instance() {
   static ThreadPool pool(ConfiguredThreadCount() - 1);
   return pool;

@@ -12,9 +12,9 @@
 //    dominated by synchronization.
 //  - The calling thread always participates in its own region, which makes
 //    nested/reentrant submission safe: a pooled task may itself call
-//    ParallelFor (BuildBlockTable parallelizes over apps while a bench
-//    parallelizes over configurations) and is guaranteed to make progress
-//    even when every worker is busy.
+//    ParallelFor (the trainer's per-app work inside the ordered fold
+//    parallelizes over blocks) and is guaranteed to make progress even
+//    when every worker is busy.
 //  - Exceptions thrown by the loop body are captured (first one wins),
 //    remaining chunks are cancelled, all participants drain, and the
 //    exception is rethrown on the calling thread.
@@ -37,6 +37,11 @@ namespace femux {
 // concurrency when unset/unparseable. Always >= 1. Read on every call so
 // tests can adjust the override before touching the pool.
 std::size_t ConfiguredThreadCount();
+
+// Chunk size that gives each of `threads` participants (0 =
+// ConfiguredThreadCount()) about four chunks of `items`: at least 1, at most
+// `cap`. The ordered-fold consumers use it when their chunk size is 0 (auto).
+std::size_t BalancedChunkSize(std::size_t items, std::size_t threads, std::size_t cap);
 
 class ThreadPool {
  public:

@@ -1,7 +1,5 @@
 #include "src/trace/stream.h"
 
-#include <algorithm>
-
 namespace femux {
 
 Dataset TraceSource::Materialize() const {
@@ -14,21 +12,6 @@ Dataset TraceSource::Materialize() const {
     dataset.apps.push_back(MakeApp(i));
   }
   return dataset;
-}
-
-bool AppChunkIterator::Next(std::vector<AppTrace>* chunk) {
-  chunk->clear();
-  const std::size_t n = source_->app_count();
-  if (next_ >= n) {
-    return false;
-  }
-  const std::size_t end = std::min(n, next_ + chunk_apps_);
-  chunk->reserve(end - next_);
-  for (; next_ < end; ++next_) {
-    chunk->push_back(source_->MakeApp(next_));
-  }
-  ++chunks_;
-  return true;
 }
 
 }  // namespace femux

@@ -1,14 +1,15 @@
-// Streaming trace generation: produce application traces one at a time (or
-// in bounded chunks) instead of materializing a whole fleet.
+// Streaming trace generation: produce application traces one at a time
+// instead of materializing a whole fleet.
 //
-// The resident pipeline holds every app's series in memory at once, which
-// caps benches at a few dozen apps. All three synthetic generators are pure
-// per (options, index) — Rng::Fork is const — so a fleet is really a
-// function from index to AppTrace. TraceSource exposes exactly that
-// function; consumers (SimulateFleetStream, TrainFemuxStream,
-// bench_fleet_scale) pull chunks, fold their contribution into running
-// accumulators, and discard the series before pulling the next chunk.
-// Peak memory is then O(chunk + accumulators), independent of fleet size.
+// All three synthetic generators are pure per (options, index) —
+// Rng::Fork is const — so a fleet is really a function from index to
+// AppTrace. TraceSource exposes exactly that function. The fleet simulator
+// and the trainer (SimulateFleetStream, TrainFemuxStream) shard
+// [0, app_count) into contiguous index chunks, fold each chunk's
+// contribution into running accumulators, and discard its series before
+// the next chunk, so peak memory is O(chunk + accumulators), independent of
+// fleet size. Resident datasets enter the same path through
+// DatasetTraceSource.
 //
 // Contract: MakeApp(i) is pure and thread-safe, and for the generator-backed
 // sources is bit-identical to entry i of the corresponding materializing
@@ -18,7 +19,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "src/trace/azure_generator.h"
 #include "src/trace/huawei_generator.h"
@@ -124,29 +124,6 @@ class DatasetTraceSource final : public TraceSource {
 
  private:
   const Dataset* dataset_;
-};
-
-// Single-consumer cursor over [0, app_count) in fixed-size chunks — the
-// chunk protocol used when a consumer wants sequential (non-sharded)
-// streaming. Parallel consumers instead shard indices themselves (see
-// SimulateFleetStream) and call MakeApp directly.
-class AppChunkIterator {
- public:
-  AppChunkIterator(const TraceSource& source, std::size_t chunk_apps)
-      : source_(&source), chunk_apps_(chunk_apps == 0 ? 1 : chunk_apps) {}
-
-  // Fills `chunk` with the next up-to-chunk_apps traces; returns false (and
-  // leaves `chunk` empty) once the source is exhausted.
-  bool Next(std::vector<AppTrace>* chunk);
-
-  std::size_t next_index() const { return next_; }
-  std::size_t chunks_emitted() const { return chunks_; }
-
- private:
-  const TraceSource* source_;
-  std::size_t chunk_apps_;
-  std::size_t next_ = 0;
-  std::size_t chunks_ = 0;
 };
 
 }  // namespace femux

@@ -1,8 +1,10 @@
-// Golden-parity tests for the training-pipeline performance layer: the
-// plan cache, the workspace-reusing feature extractor, and the restructured
-// BuildBlockTable must reproduce the straightforward implementations
-// exactly.
+// Golden-parity tests for the training pipeline: the workspace-reusing
+// feature extractor and the block table the trainer's fold builds must
+// reproduce the straightforward implementations exactly.
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,58 +48,6 @@ void ExpectTablesEqual(const BlockTable& a, const BlockTable& b) {
   }
 }
 
-TEST(PlanCacheTest, CachesByKeyAndCountsHits) {
-  PlanCache cache;
-  int computes = 0;
-  const auto compute = [&computes] {
-    ++computes;
-    return std::vector<double>{1.0, 2.0, 3.0};
-  };
-  const auto first = cache.GetOrCompute(0, "ar", 5, 60.0, compute);
-  const auto again = cache.GetOrCompute(0, "ar", 5, 60.0, compute);
-  EXPECT_EQ(computes, 1);
-  EXPECT_EQ(first.get(), again.get());
-  EXPECT_EQ(cache.hits(), 1u);
-
-  // Any key component change is a distinct entry.
-  cache.GetOrCompute(1, "ar", 5, 60.0, compute);
-  cache.GetOrCompute(0, "fft", 5, 60.0, compute);
-  cache.GetOrCompute(0, "ar", 10, 60.0, compute);
-  cache.GetOrCompute(0, "ar", 5, 10.0, compute);
-  EXPECT_EQ(computes, 5);
-  EXPECT_EQ(cache.size(), 5u);
-}
-
-TEST(TrainerParityTest, PlanCacheDoesNotChangeTheBlockTable) {
-  const Dataset dataset = TinyDataset();
-  const std::vector<int> apps = AllApps(dataset);
-
-  TrainerOptions uncached = FastOptions();
-  const BlockTable reference =
-      BuildBlockTable(dataset, apps, Rum::Default(), uncached, nullptr);
-
-  PlanCache cache;
-  TrainerOptions cached = FastOptions();
-  cached.plan_cache = &cache;
-  const BlockTable cold =
-      BuildBlockTable(dataset, apps, Rum::Default(), cached, nullptr);
-  ExpectTablesEqual(reference, cold);
-  EXPECT_GT(cache.size(), 0u);
-
-  // Second pass (e.g. another RUM variant in a sweep) must hit for every
-  // (app, forecaster) plan and still produce the identical table.
-  const std::size_t entries = cache.size();
-  const BlockTable warm =
-      BuildBlockTable(dataset, apps, Rum::ColdStartFocused(), cached, nullptr);
-  EXPECT_EQ(cache.size(), entries);
-  EXPECT_GE(cache.hits(), entries);
-  ASSERT_EQ(warm.rum.size(), reference.rum.size());
-  // RUM values differ (different objective) but features are RUM-agnostic.
-  for (std::size_t a = 0; a < reference.features.size(); ++a) {
-    EXPECT_EQ(warm.features[a], reference.features[a]);
-  }
-}
-
 TEST(TrainerParityTest, WorkspaceExtractionMatchesAllocatingExtraction) {
   const Dataset dataset = TinyDataset();
   const FeatureExtractor extractor(DefaultFeatureSet());
@@ -115,26 +65,52 @@ TEST(TrainerParityTest, WorkspaceExtractionMatchesAllocatingExtraction) {
   }
 }
 
-TEST(TrainerParityTest, SimulateForecastsMatchesCachedPlans) {
+// Every block-table RUM is the block replay of a SimulateForecasts plan:
+// the trainer slices one rolling plan per (app, forecaster) and only
+// rescales it per margin.
+TEST(TrainerParityTest, BlockRumsReplaySimulateForecastsPlans) {
   const Dataset dataset = TinyDataset();
-  const std::vector<double> demand = DemandSeries(dataset.apps[0], 60.0);
-  const std::vector<std::string> names = {"ar", "fft", "holt", "markov_chain"};
-
-  const auto direct = SimulateForecasts(names, demand, 30);
-  PlanCache cache;
+  const AppTrace& app = dataset.apps[0];
   TrainerOptions options = FastOptions();
-  options.plan_cache = &cache;
-  options.forecaster_names = names;
+  options.forecaster_names = {"ar", "fft", "holt", "markov_chain"};
+  options.margins = {1.0, 1.25};
   const BlockTable table =
       BuildBlockTable(dataset, {0}, Rum::Default(), options, nullptr);
-  (void)table;
-  ASSERT_EQ(cache.size(), names.size());
-  for (std::size_t f = 0; f < names.size(); ++f) {
-    const auto plan = cache.GetOrCompute(0, names[f], 30, 60.0, [] {
-      ADD_FAILURE() << "plan should already be cached";
-      return std::vector<double>();
-    });
-    EXPECT_EQ(*plan, direct[f]) << names[f];
+
+  const std::vector<double> demand = DemandSeries(app, 60.0);
+  const std::vector<double> arrivals = ArrivalSeries(app, 60.0);
+  const auto plans = SimulateForecasts(options.forecaster_names, demand, 30);
+  SimOptions sim = options.sim;
+  sim.min_scale = 0;
+  if (app.consumed_memory_mb > 0.0) {
+    sim.memory_gb_per_unit = app.consumed_memory_mb / 1024.0;
+  }
+
+  const std::size_t blocks = BlockCount(demand.size(), options.block_minutes);
+  ASSERT_EQ(table.rum.size(), 1u);
+  ASSERT_EQ(table.rum[0].size(), blocks);
+  ASSERT_GT(blocks, 0u);
+  std::vector<double> scaled(options.block_minutes);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const auto demand_block =
+        BlockSlice(std::span<const double>(demand), b, options.block_minutes);
+    const auto arrivals_block =
+        BlockSlice(std::span<const double>(arrivals), b, options.block_minutes);
+    for (std::size_t f = 0; f < plans.size(); ++f) {
+      const auto plan_block =
+          BlockSlice(std::span<const double>(plans[f]), b, options.block_minutes);
+      for (std::size_t m = 0; m < options.margins.size(); ++m) {
+        for (std::size_t i = 0; i < plan_block.size(); ++i) {
+          scaled[i] = plan_block[i] * options.margins[m];
+        }
+        const double expected =
+            BlockRum(Rum::Default(), demand_block, arrivals_block, scaled, sim);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      table.rum[0][b][f * options.margins.size() + m]),
+                  std::bit_cast<std::uint64_t>(expected))
+            << options.forecaster_names[f] << " block " << b << " margin " << m;
+      }
+    }
   }
 }
 

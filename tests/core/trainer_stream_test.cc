@@ -85,6 +85,37 @@ TEST(TrainerStreamTest, UncappedStreamIsBitIdenticalToBatchTrainer) {
   }
 }
 
+// Both entry points run one trainer, learned-state post-pass included: with
+// a learned-only candidate set every non-empty cluster carries a trained
+// blob, and the saved models must agree byte for byte.
+TEST(TrainerStreamTest, LearnedModelIsIdenticalFromBothEntryPoints) {
+  AzureGeneratorOptions gen;
+  gen.num_apps = 12;
+  gen.duration_days = 2;
+  const Dataset dataset = GenerateAzureDataset(gen);
+  TrainerOptions trainer;
+  trainer.clusters = 3;
+  trainer.refit_interval = 30;
+  trainer.forecaster_names = {"linear_state"};
+
+  std::vector<int> all_apps;
+  for (std::size_t i = 0; i < dataset.apps.size(); ++i) {
+    all_apps.push_back(static_cast<int>(i));
+  }
+  const TrainResult batch = TrainFemux(dataset, all_apps, Rum::Default(), trainer);
+  const StreamTrainResult streamed =
+      TrainFemuxStream(AzureTraceSource(gen), Rum::Default(), trainer);
+
+  std::size_t blobs = 0;
+  for (const std::string& blob : streamed.model.cluster_learned_state) {
+    blobs += blob.empty() ? 0 : 1;
+  }
+  EXPECT_GT(blobs, 0u);
+  EXPECT_EQ(streamed.model.cluster_learned_state, batch.model.cluster_learned_state);
+  EXPECT_EQ(ModelBytes(streamed.model, "learned_stream"),
+            ModelBytes(batch.model, "learned_batch"));
+}
+
 TEST(TrainerStreamTest, CappedDecimationIsDeterministicAcrossChunking) {
   const AzureGeneratorOptions gen = SmallFleet();
   const AzureTraceSource source(gen);

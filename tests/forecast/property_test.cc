@@ -124,8 +124,8 @@ TEST_P(ForecasterPropertyTest, RollingForecastTracksSlowSignals) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, ForecasterPropertyTest,
     ::testing::Combine(::testing::Values("ar", "setar", "fft", "exp_smoothing",
-                                         "holt", "markov_chain", "arima",
-                                         "moving_average_1", "keep_alive_5min"),
+                                         "holt", "markov_chain", "moving_average_1",
+                                         "keep_alive_5min"),
                        ::testing::Values(Signal::kConstant, Signal::kRamp,
                                          Signal::kSine, Signal::kNoise,
                                          Signal::kOnOff)),

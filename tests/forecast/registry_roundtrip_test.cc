@@ -25,8 +25,8 @@ namespace {
 const char* const kAllNames[] = {
     "ar",        "setar",          "fft",
     "exp_smoothing", "holt",       "markov_chain",
-    "lstm",      "linear_state",   "arima",
-    "moving_average_3", "keep_alive_5min",
+    "lstm",      "linear_state",   "moving_average_3",
+    "keep_alive_5min",
 };
 
 class Rng {

@@ -318,8 +318,9 @@ TEST(FleetDeterminismTest, StreamingMatchesResidentForAnyChunkingAndThreads) {
 }
 
 // The training pipeline behind the FeMux sweep is itself thread-count
-// invariant: per-block RUM rows and feature rows (nested block-level
-// ParallelFor in BuildBlockTable) are bit-identical serial vs pooled.
+// invariant: per-block RUM rows and feature rows (the app-level ordered
+// fold plus the nested block-level ParallelFor) are bit-identical serial
+// vs pooled.
 TEST(FleetDeterminismTest, BlockTableBitIdenticalAcrossThreadCounts) {
   const Dataset dataset = LoadSnapshotDataset();
   ASSERT_FALSE(dataset.apps.empty());
@@ -355,31 +356,6 @@ TEST(FleetDeterminismTest, BlockTableBitIdenticalAcrossThreadCounts) {
         EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.features[a][b][f]),
                   std::bit_cast<std::uint64_t>(parallel.features[a][b][f]))
             << "feature app " << a << " block " << b << " dim " << f;
-      }
-    }
-  }
-}
-
-// ExtractBlockFeatures (the block-parallel feature fan-out) is row-for-row
-// bit-identical to a serial ExtractInto walk.
-TEST(FleetDeterminismTest, ExtractBlockFeaturesMatchesSerialWalk) {
-  const Dataset dataset = LoadSnapshotDataset();
-  ASSERT_FALSE(dataset.apps.empty());
-  const FeatureExtractor extractor;
-  constexpr std::size_t kBlock = 240;
-  for (const AppTrace& app : dataset.apps) {
-    const std::vector<double> demand = DemandSeries(app, 60.0);
-    const auto rows = ExtractBlockFeatures(extractor, demand, kBlock);
-    FeatureExtractor::Workspace workspace;
-    ASSERT_EQ(rows.size(), BlockCount(demand.size(), kBlock));
-    for (std::size_t b = 0; b < rows.size(); ++b) {
-      extractor.ExtractInto(BlockSlice(std::span<const double>(demand), b, kBlock),
-                            0.0, &workspace);
-      ASSERT_EQ(rows[b].size(), workspace.out.size());
-      for (std::size_t f = 0; f < rows[b].size(); ++f) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(rows[b][f]),
-                  std::bit_cast<std::uint64_t>(workspace.out[f]))
-            << "app " << app.id << " block " << b << " dim " << f;
       }
     }
   }
