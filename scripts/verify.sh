@@ -108,6 +108,9 @@ if [[ "${FEMUX_SANITIZE:-}" == "thread" ]]; then
     done
   done
   cmake --build "$ROOT/build-tsan" --target "${TSAN_TARGETS[@]}" -j > /dev/null
+  # The one suppression is glibc's lgamma writing the global `signgam`
+  # (scripts/tsan.supp explains why it is benign).
+  export TSAN_OPTIONS="suppressions=$ROOT/scripts/tsan.supp${TSAN_OPTIONS:+ $TSAN_OPTIONS}"
   for t in "${TSAN_TARGETS[@]}"; do
     echo "-- tsan: $t"
     FEMUX_THREADS=4 "$ROOT/build-tsan/tests/$t" > /dev/null || {

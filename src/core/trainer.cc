@@ -136,7 +136,7 @@ bool IsExecAware(const FemuxModel& model) {
 // The app-level fan-out of training: apps of `source` are scored chunk by
 // chunk on the pool and handed to `sink` in strict app-index order.
 // `chunk_apps` 0 = auto; `max_pending_chunks` bounds the results held back
-// behind a slow chunk.
+// behind a slow chunk (0 = the fold's auto bound).
 OrderedChunkStats FoldAppBlockRows(
     const TraceSource& source, const FemuxModel& model, const Rum& rum,
     const TrainerOptions& options, std::size_t chunk_apps,
@@ -490,12 +490,10 @@ TrainResult TrainFemux(const Dataset& dataset, const std::vector<int>& app_indic
 StreamTrainResult TrainFemuxStream(const TraceSource& source, const Rum& rum,
                                    const TrainerOptions& options,
                                    const StreamTrainOptions& stream) {
-  // Bounded admission: one slow chunk cannot let fast workers pile up
+  // Auto-bounded admission: one slow chunk cannot let fast workers pile up
   // unbounded held-back row sets (each can be thousands of feature rows).
-  const std::size_t participants =
-      options.threads > 0 ? options.threads : ConfiguredThreadCount();
   return TrainFromSource(source, rum, options, stream.chunk_apps,
-                         2 * participants + 2, stream.max_rows, nullptr);
+                         /*max_pending_chunks=*/0, stream.max_rows, nullptr);
 }
 
 TrainResult RetrainWithNewApps(const TrainResult& previous, const Dataset& dataset,

@@ -47,13 +47,7 @@ FleetStreamResult SimulateFleetStream(const TraceSource& source,
 
   OrderedChunkOptions fold_options;
   fold_options.threads = options.threads;
-  if (options.max_pending_chunks > 0) {
-    fold_options.max_pending_chunks = options.max_pending_chunks;
-  } else {
-    const std::size_t participants =
-        options.threads > 0 ? options.threads : ConfiguredThreadCount();
-    fold_options.max_pending_chunks = 2 * participants + 2;
-  }
+  fold_options.max_pending_chunks = options.max_pending_chunks;
 
   const OrderedChunkStats fold_stats = ParallelOrderedChunks<ChunkMetrics>(
       num_chunks, fold_options,

@@ -34,10 +34,10 @@ struct FleetStreamOptions {
   // Apps generated + simulated per chunk. 0 = auto: about four chunks per
   // participant, max(1, apps / (4 x threads)), at most 64.
   std::size_t chunk_apps = 64;
-  // Backpressure bound on chunks admitted past the fold frontier. 0 = auto
-  // (2 x participants + 2: every worker can have one chunk in flight and
-  // one held back, plus slack). Bounds transient memory when one slow chunk
-  // stalls the frontier — without it, held-back results scale with
+  // Backpressure bound on chunks admitted past the fold frontier, passed
+  // straight to the ordered fold. 0 = the fold's auto bound (2 x
+  // participants + 2, stream_fold.h). Bounds transient memory when one slow
+  // chunk stalls the frontier — without it, held-back results scale with
   // thread-count skew instead of with the configured chunk size.
   std::size_t max_pending_chunks = 0;
   // Optional bounded series cache. Useful when the same source is swept
