@@ -1,5 +1,6 @@
 #include "bench/common.h"
 
+#include "src/forecast/registry.h"
 #include "src/stats/simd.h"
 
 #include <cstdio>
@@ -134,10 +135,7 @@ double EvaluateBlockSelection(
 }
 
 std::unique_ptr<Forecaster> BenchForecaster(const std::string& name) {
-  FemuxModel stub;
-  stub.forecaster_names = {name};
-  stub.refit_interval = BenchTrainerOptions().refit_interval;
-  return stub.MakeForecaster(0);
+  return MakeForecasterByName(name, BenchTrainerOptions().refit_interval);
 }
 
 void PrintHeader(const std::string& experiment, const std::string& claim) {

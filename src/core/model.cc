@@ -1,7 +1,5 @@
 #include "src/core/model.h"
 
-#include "src/forecast/ar.h"
-#include "src/forecast/fft_forecaster.h"
 #include "src/forecast/registry.h"
 
 namespace femux {
@@ -64,18 +62,8 @@ std::unique_ptr<Forecaster> FemuxModel::MakeForecaster(int index) const {
   if (index < 0 || static_cast<std::size_t>(index) >= forecaster_names.size()) {
     index = default_forecaster;
   }
-  const std::string& name = forecaster_names[static_cast<std::size_t>(index)];
-  // AR-family and FFT forecasters honor the model's refit stride.
-  if (name == "ar") {
-    return std::make_unique<ArForecaster>(10, refit_interval);
-  }
-  if (name == "setar") {
-    return std::make_unique<SetarForecaster>(10, 2, refit_interval);
-  }
-  if (name == "fft") {
-    return std::make_unique<FftForecaster>(10, refit_interval);
-  }
-  return MakeForecasterByName(name);
+  return MakeForecasterByName(forecaster_names[static_cast<std::size_t>(index)],
+                              refit_interval);
 }
 
 std::unique_ptr<Forecaster> FemuxModel::MakeForecasterForCluster(

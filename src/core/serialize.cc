@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "src/forecast/registry.h"
+
 namespace femux {
 namespace {
 
@@ -110,18 +112,22 @@ bool LoadModel(std::istream& in, FemuxModel* model) {
   if (!(in >> magic) || magic != kModelMagic) {
     return false;
   }
+  // Model files are outside input: every forecaster index the model can
+  // hand out must name a forecaster the registry builds.
   std::size_t names = 0;
-  if (!(in >> names) || names > 1024) {
+  if (!(in >> names) || names == 0 || names > 1024) {
     return false;
   }
   model->forecaster_names.resize(names);
   for (std::string& name : model->forecaster_names) {
-    if (!(in >> name)) {
+    if (!(in >> name) || MakeForecasterByName(name) == nullptr) {
       return false;
     }
   }
   if (!(in >> model->refit_interval >> model->block_minutes >>
-        model->default_forecaster >> model->default_margin)) {
+        model->default_forecaster >> model->default_margin) ||
+      model->default_forecaster < 0 ||
+      static_cast<std::size_t>(model->default_forecaster) >= names) {
     return false;
   }
   std::vector<int> feature_ints;
@@ -132,7 +138,10 @@ bool LoadModel(std::istream& in, FemuxModel* model) {
   for (int f : feature_ints) {
     model->features.push_back(static_cast<Feature>(f));
   }
-  if (!ReadVector(in, &model->margins)) {
+  if (!ReadVector(in, &model->margins) ||
+      (!model->margins.empty() &&
+       (model->default_margin < 0 ||
+        static_cast<std::size_t>(model->default_margin) >= model->margins.size()))) {
     return false;
   }
   int rum_kind = 0;

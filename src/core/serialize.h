@@ -21,7 +21,10 @@
 namespace femux {
 
 void SaveModel(const FemuxModel& model, std::ostream& out);
-// Returns false (and leaves `model` unspecified) on parse failure.
+// Returns false (and leaves `model` unspecified) on parse failure, and on a
+// model that cannot be served: an empty forecaster list, a name the registry
+// does not know, or a default forecaster (or, with margins, a default
+// margin) out of range.
 bool LoadModel(std::istream& in, FemuxModel* model);
 
 void SaveBlockTable(const BlockTable& table, std::ostream& out);

@@ -23,15 +23,8 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 std::vector<double> SimulateOnePlan(const std::string& name,
                                     const std::vector<double>& demand,
                                     std::size_t refit_interval) {
-  std::unique_ptr<Forecaster> forecaster;
-  if (name == "ar" || name == "setar" || name == "fft") {
-    FemuxModel stub;
-    stub.forecaster_names = {name};
-    stub.refit_interval = refit_interval;
-    forecaster = stub.MakeForecaster(0);
-  } else {
-    forecaster = MakeForecasterByName(name);
-  }
+  const std::unique_ptr<Forecaster> forecaster =
+      MakeForecasterByName(name, refit_interval);
   if (forecaster == nullptr) {
     return std::vector<double>(demand.size(), 0.0);
   }

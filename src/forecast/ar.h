@@ -7,6 +7,14 @@
 // only every N calls and reused in between, which keeps offline simulation
 // over billions of app-minutes tractable (the model changes slowly at
 // minute granularity). refit_interval == 1 refits on every call.
+//
+// Batch fits accumulate the (p+1)^2 normal equations row by row with
+// FitOls's per-element operations and solve them once, so coefficients equal
+// FitOls's on the same design bit for bit. A SETAR refit first counts each
+// regime's rows, drops threshold candidates with a regime too small to fit,
+// and fits each distinct regime row set once, shared by the candidates that
+// need it (DESIGN.md §6). SETAR has no incremental protocol: it is served
+// through the batch Forecast() path (DESIGN.md §7).
 #ifndef SRC_FORECAST_AR_H_
 #define SRC_FORECAST_AR_H_
 
@@ -78,6 +86,10 @@ class SetarForecaster final : public Forecaster {
   std::unique_ptr<Forecaster> Clone() const override;
 
  private:
+  // Re-estimates thresholds and per-regime coefficients from `history`;
+  // leaves both empty when no candidate can fit every regime.
+  void Refit(std::span<const double> history);
+
   std::size_t lags_;
   std::size_t max_thresholds_;
   std::size_t refit_interval_;

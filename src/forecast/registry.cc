@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <string>
+#include <string_view>
 
 #include "src/forecast/ar.h"
 #include "src/forecast/fft_forecaster.h"
@@ -37,18 +38,16 @@ bool ParseTrailingNumber(std::string_view text, std::string_view prefix,
 
 std::vector<std::unique_ptr<Forecaster>> MakeFemuxForecasterSet(
     std::size_t refit_interval) {
+  // The last two are conservative policies expressed as forecasters (Fig. 17
+  // includes fixed keep-alive in FeMux's multiplexed set): a 5-minute
+  // keep-alive and the 1-minute reactive window.
+  constexpr std::string_view kNames[] = {
+      "ar",   "setar",        "fft",             "exp_smoothing",
+      "holt", "markov_chain", "keep_alive_5min", "moving_average_1"};
   std::vector<std::unique_ptr<Forecaster>> set;
-  set.push_back(std::make_unique<ArForecaster>(10, refit_interval));
-  set.push_back(std::make_unique<SetarForecaster>(10, 2, refit_interval));
-  set.push_back(std::make_unique<FftForecaster>(10, refit_interval));
-  set.push_back(std::make_unique<ExponentialSmoothingForecaster>());
-  set.push_back(std::make_unique<HoltForecaster>());
-  set.push_back(std::make_unique<MarkovChainForecaster>(4));
-  // Conservative policies expressed as forecasters (Fig. 17 includes fixed
-  // keep-alive in FeMux's multiplexed set): a 5-minute keep-alive and the
-  // 1-minute reactive window.
-  set.push_back(std::make_unique<KeepAliveForecaster>(5));
-  set.push_back(std::make_unique<MovingAverageForecaster>(1));
+  for (const std::string_view name : kNames) {
+    set.push_back(MakeForecasterByName(name, refit_interval));
+  }
   return set;
 }
 
@@ -59,19 +58,20 @@ std::vector<std::unique_ptr<Forecaster>> MakeLearnedFemuxForecasterSet(
   // pin the default set's forecaster indices stay valid.
   std::vector<std::unique_ptr<Forecaster>> set =
       MakeFemuxForecasterSet(refit_interval);
-  set.push_back(std::make_unique<LinearStateForecaster>());
+  set.push_back(MakeForecasterByName("linear_state", refit_interval));
   return set;
 }
 
-std::unique_ptr<Forecaster> MakeForecasterByName(std::string_view name) {
+std::unique_ptr<Forecaster> MakeForecasterByName(std::string_view name,
+                                                 std::size_t refit_interval) {
   if (name == "ar") {
-    return std::make_unique<ArForecaster>(10);
+    return std::make_unique<ArForecaster>(10, refit_interval);
   }
   if (name == "setar") {
-    return std::make_unique<SetarForecaster>(10, 2);
+    return std::make_unique<SetarForecaster>(10, 2, refit_interval);
   }
   if (name == "fft") {
-    return std::make_unique<FftForecaster>(10);
+    return std::make_unique<FftForecaster>(10, refit_interval);
   }
   if (name == "exp_smoothing") {
     return std::make_unique<ExponentialSmoothingForecaster>();

@@ -94,6 +94,73 @@ TEST(SerializeTest, BlockTableRoundTrip) {
   }
 }
 
+// A small hand-built model: two forecasters, two margins, no classifier.
+FemuxModel HandBuiltModel() {
+  FemuxModel model;
+  model.forecaster_names = {"ar", "holt"};
+  model.margins = {1.0, 1.25};
+  model.default_forecaster = 1;
+  model.default_margin = 1;
+  return model;
+}
+
+bool SavesAndLoads(const FemuxModel& model) {
+  std::stringstream buffer;
+  SaveModel(model, buffer);
+  FemuxModel loaded;
+  return LoadModel(buffer, &loaded);
+}
+
+TEST(SerializeTest, LoadsAHandBuiltModelItCanServe) {
+  FemuxModel model = HandBuiltModel();
+  std::stringstream buffer;
+  SaveModel(model, buffer);
+  FemuxModel loaded;
+  ASSERT_TRUE(LoadModel(buffer, &loaded));
+  for (int i = -1; i <= 2; ++i) {
+    EXPECT_NE(loaded.MakeForecaster(i), nullptr) << i;
+  }
+  // Without margins there is no default margin to check.
+  model.margins.clear();
+  model.default_margin = 5;
+  EXPECT_TRUE(SavesAndLoads(model));
+}
+
+TEST(SerializeTest, RejectsDefaultForecasterOutOfRange) {
+  FemuxModel model = HandBuiltModel();
+  model.default_forecaster = 7;
+  EXPECT_FALSE(SavesAndLoads(model));
+  model.default_forecaster = 2;
+  EXPECT_FALSE(SavesAndLoads(model));
+  model.default_forecaster = -1;
+  EXPECT_FALSE(SavesAndLoads(model));
+}
+
+TEST(SerializeTest, RejectsDefaultMarginOutOfRange) {
+  FemuxModel model = HandBuiltModel();
+  model.default_margin = 3;
+  EXPECT_FALSE(SavesAndLoads(model));
+  model.default_margin = 2;
+  EXPECT_FALSE(SavesAndLoads(model));
+  model.default_margin = -1;
+  EXPECT_FALSE(SavesAndLoads(model));
+}
+
+TEST(SerializeTest, RejectsUnknownForecasterName) {
+  FemuxModel model = HandBuiltModel();
+  model.forecaster_names[0] = "no_such_forecaster";
+  EXPECT_FALSE(SavesAndLoads(model));
+  model.forecaster_names[0] = "moving_average_0";
+  EXPECT_FALSE(SavesAndLoads(model));
+}
+
+TEST(SerializeTest, RejectsEmptyForecasterList) {
+  FemuxModel model = HandBuiltModel();
+  model.forecaster_names.clear();
+  model.default_forecaster = 0;
+  EXPECT_FALSE(SavesAndLoads(model));
+}
+
 TEST(SerializeTest, RejectsCorruptInput) {
   FemuxModel model;
   std::stringstream bad("not-a-model 3");
