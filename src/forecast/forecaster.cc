@@ -72,6 +72,10 @@ double IncrementalSession::ForecastStreamed(Forecaster& forecaster,
   const std::span<const double> windowed =
       window.size() > window_len ? window.last(window_len) : window;
   if (!forecaster.SupportsIncremental() || window.empty()) {
+    // Every call reaches Forecast(): batch forecasters may count calls
+    // (SETAR's refit stride), so nothing is cached here. The stream is
+    // still bound, so the checked entry points can see a count regression.
+    Bind(forecaster, window_len, total_observed);
     seeded_ = false;
     return femux::ForecastOne(forecaster, windowed);
   }
@@ -99,11 +103,9 @@ double IncrementalSession::ForecastStreamed(Forecaster& forecaster,
     forecaster.ObserveAppend(window.back());
   } else {
     forecaster.BeginWindow(windowed, window_len);
-    bound_ = &forecaster;
-    window_ = window_len;
     seeded_ = true;
   }
-  last_size_ = total_observed;
+  Bind(forecaster, window_len, total_observed);
   last_back_ = window.back();
   last_pred_ = forecaster.ForecastNext();
   has_last_pred_ = true;
@@ -114,21 +116,39 @@ void IncrementalSession::SeedStreamed(Forecaster& forecaster,
                                       std::span<const double> window,
                                       std::size_t total_observed,
                                       std::size_t window_hint) {
+  const std::size_t window_len =
+      std::max(window_hint, forecaster.preferred_history());
+  Bind(forecaster, window_len, total_observed);
   if (!forecaster.SupportsIncremental() || window.empty()) {
     seeded_ = false;
     return;
   }
-  const std::size_t window_len =
-      std::max(window_hint, forecaster.preferred_history());
   const std::span<const double> windowed =
       window.size() > window_len ? window.last(window_len) : window;
   forecaster.BeginWindow(windowed, window_len);
-  bound_ = &forecaster;
-  window_ = window_len;
   seeded_ = true;
-  last_size_ = total_observed;
   last_back_ = window.back();
   has_last_pred_ = false;  // The next ForecastStreamed forecasts once.
+}
+
+void IncrementalSession::Bind(const Forecaster& forecaster,
+                              std::size_t window_len,
+                              std::size_t total_observed) {
+  bound_ = &forecaster;
+  window_ = window_len;
+  last_size_ = total_observed;
+}
+
+bool IncrementalSession::Regressed(const Forecaster& forecaster,
+                                   std::size_t window_hint,
+                                   std::size_t total_observed) const {
+  // "Time went backwards" is only meaningful for the stream this session is
+  // already bound to; a different forecaster or window configuration is a
+  // fresh stream and re-seeds like the unchecked path.
+  const std::size_t window_len =
+      std::max(window_hint, forecaster.preferred_history());
+  return bound_ == &forecaster && window_ == window_len &&
+         total_observed < last_size_;
 }
 
 namespace {
@@ -152,13 +172,7 @@ StreamedForecast IncrementalSession::ForecastStreamedChecked(
     out.error = StreamError::kNonFiniteInput;
     return out;
   }
-  const std::size_t window_len =
-      std::max(window_hint, forecaster.preferred_history());
-  // "Time went backwards" is only meaningful for the stream this session is
-  // already bound to; a different forecaster or window configuration is a
-  // fresh stream and re-seeds like the unchecked path.
-  if (seeded_ && bound_ == &forecaster && window_ == window_len &&
-      total_observed < last_size_) {
+  if (Regressed(forecaster, window_hint, total_observed)) {
     out.error = StreamError::kCountRegressed;
     return out;
   }
@@ -173,10 +187,7 @@ StreamError IncrementalSession::SeedStreamedChecked(Forecaster& forecaster,
   if (!AllFinite(window)) {
     return StreamError::kNonFiniteInput;
   }
-  const std::size_t window_len =
-      std::max(window_hint, forecaster.preferred_history());
-  if (seeded_ && bound_ == &forecaster && window_ == window_len &&
-      total_observed < last_size_) {
+  if (Regressed(forecaster, window_hint, total_observed)) {
     return StreamError::kCountRegressed;
   }
   SeedStreamed(forecaster, window, total_observed, window_hint);

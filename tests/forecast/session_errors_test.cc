@@ -4,7 +4,9 @@
 // on both properties).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <span>
@@ -165,6 +167,79 @@ TEST(SessionErrorsTest, SeedStreamedCheckedWarmsTheSession) {
   const double expected =
       plain.ForecastStreamed(*plain_f, window, series.size(), kWindowHint);
   EXPECT_DOUBLE_EQ(from_seed.value, expected);
+}
+
+// SETAR has no incremental protocol: every streamed call is a batch
+// Forecast(). The count check must hold for it all the same, or a daemon
+// tenant on a batch forecaster is served from a regressed stream.
+TEST(SessionErrorsTest, CountRegressionIsTypedErrorOnBatchStream) {
+  const auto forecaster = MakeForecasterByName("setar");
+  ASSERT_NE(forecaster, nullptr);
+  ASSERT_FALSE(forecaster->SupportsIncremental());
+  IncrementalSession session;
+  const auto series = Series(40);
+  ASSERT_TRUE(session
+                  .ForecastStreamedChecked(*forecaster, Tail(series, kWindowHint),
+                                           series.size(), kWindowHint)
+                  .ok());
+  EXPECT_EQ(session
+                .ForecastStreamedChecked(*forecaster, Tail(series, kWindowHint),
+                                         series.size() - 3, kWindowHint)
+                .error,
+            StreamError::kCountRegressed);
+  EXPECT_EQ(session.SeedStreamedChecked(*forecaster, Tail(series, kWindowHint),
+                                        series.size() - 1, kWindowHint),
+            StreamError::kCountRegressed);
+  // A seed binds the batch stream too.
+  IncrementalSession seeded;
+  ASSERT_EQ(seeded.SeedStreamedChecked(*forecaster, Tail(series, kWindowHint),
+                                       series.size(), kWindowHint),
+            StreamError::kNone);
+  EXPECT_EQ(seeded
+                .ForecastStreamedChecked(*forecaster, Tail(series, kWindowHint),
+                                         series.size() - 1, kWindowHint)
+                .error,
+            StreamError::kCountRegressed);
+  // Invalidate unbinds: the next call starts a fresh stream.
+  session.Invalidate();
+  EXPECT_TRUE(session
+                  .ForecastStreamedChecked(*forecaster, Tail(series, kWindowHint),
+                                           series.size() - 3, kWindowHint)
+                  .ok());
+}
+
+// SETAR counts its Forecast() calls to pace refits (stride 5 here), so a
+// regressed call that reached Forecast() would shift every later refit.
+// Twin sessions must stay bit-identical after session A takes the errors.
+TEST(SessionErrorsTest, BatchStreamErrorLeavesRefitPhaseUntouched) {
+  const auto fa = MakeForecasterByName("setar", 5);
+  const auto fb = MakeForecasterByName("setar", 5);
+  IncrementalSession sa;
+  IncrementalSession sb;
+  const auto series = Series(90);
+  for (std::size_t n = 1; n <= 40; ++n) {
+    const std::vector<double> head(series.begin(), series.begin() + n);
+    const auto window = Tail(head, kWindowHint);
+    ASSERT_TRUE(sa.ForecastStreamedChecked(*fa, window, n, kWindowHint).ok());
+    ASSERT_TRUE(sb.ForecastStreamedChecked(*fb, window, n, kWindowHint).ok());
+  }
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(sa.ForecastStreamedChecked(*fa, Tail(series, kWindowHint), 39,
+                                         kWindowHint)
+                  .error,
+              StreamError::kCountRegressed);
+  }
+  for (std::size_t n = 41; n <= series.size(); ++n) {
+    const std::vector<double> head(series.begin(), series.begin() + n);
+    const auto window = Tail(head, kWindowHint);
+    const StreamedForecast ra = sa.ForecastStreamedChecked(*fa, window, n, kWindowHint);
+    const StreamedForecast rb = sb.ForecastStreamedChecked(*fb, window, n, kWindowHint);
+    ASSERT_TRUE(ra.ok());
+    ASSERT_TRUE(rb.ok());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ra.value),
+              std::bit_cast<std::uint64_t>(rb.value))
+        << "n=" << n;
+  }
 }
 
 TEST(SessionErrorsTest, ErrorNamesAreStable) {
