@@ -364,6 +364,14 @@ bool ParseDoubleField(std::string_view text, double* out) {
   return result.ec == std::errc() && result.ptr == text.data() + text.size();
 }
 
+// Appends `value` in its shortest round-trip decimal form.
+template <typename T>
+void AppendNumber(std::string* out, T value) {
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out->append(buffer, result.ptr);
+}
+
 void WriteChecksummedLine(std::ostream& out, const std::string& body) {
   out << body << ' ' << ChecksumHex(body) << '\n';
 }
@@ -445,26 +453,38 @@ bool ParseDaemonAppRecord(std::string_view body, DaemonAppCheckpoint* app) {
 }  // namespace
 
 void SaveDaemonCheckpoint(const DaemonCheckpoint& checkpoint, std::ostream& out) {
-  {
-    std::ostringstream header;
-    header << kDaemonMagic << ' ' << checkpoint.tick << ' ' << checkpoint.apps.size();
-    WriteChecksummedLine(out, header.str());
-  }
+  // One reused line buffer; numbers are appended with std::to_chars, whose
+  // shortest round-trip form ParseDoubleField reads back to the same bits.
+  std::string line;
+  const auto field = [&line](auto value) {
+    line += ' ';
+    AppendNumber(&line, value);
+  };
+  line = kDaemonMagic;
+  field(checkpoint.tick);
+  field(checkpoint.apps.size());
+  WriteChecksummedLine(out, line);
   for (const DaemonAppCheckpoint& app : checkpoint.apps) {
-    std::ostringstream line;
-    line.precision(17);
-    line << "app " << EncodeToken(app.id) << ' ' << EncodeToken(app.forecaster) << ' '
-         << app.observed << ' ' << app.last_epoch << ' ' << (app.has_epoch ? 1 : 0)
-         << ' ' << (app.has_last_good ? 1 : 0) << ' ' << app.last_good << ' '
-         << app.quarantined_until << ' ' << app.consecutive_faults << ' '
-         << app.ring.size();
+    line.assign("app ");
+    line += EncodeToken(app.id);
+    line += ' ';
+    line += EncodeToken(app.forecaster);
+    field(app.observed);
+    field(app.last_epoch);
+    field(int{app.has_epoch});
+    field(int{app.has_last_good});
+    field(app.last_good);
+    field(app.quarantined_until);
+    field(app.consecutive_faults);
+    field(app.ring.size());
     for (double v : app.ring) {
-      line << ' ' << v;
+      field(v);
     }
     if (!app.forecaster_state.empty()) {
-      line << ' ' << EncodeToken(app.forecaster_state);
+      line += ' ';
+      line += EncodeToken(app.forecaster_state);
     }
-    WriteChecksummedLine(out, line.str());
+    WriteChecksummedLine(out, line);
   }
 }
 

@@ -1,26 +1,17 @@
-// Sliding-window state primitives for the incremental forecasting protocol
+// Sliding-window sample buffer for the incremental forecasting protocol
 // (serving hot path, DESIGN.md §7).
 //
 // The serving loop advances each application's history by exactly one sample
 // per scaling epoch, so a forecaster that keeps sufficient statistics of the
-// current window can answer in O(1) amortized per epoch instead of refitting
-// over the full window. This header provides the shared machinery:
+// current window can answer without refitting over the full window. AR,
+// Markov, FFT, linear_state and the LSTM keep their window here:
 //
 //  - WindowBuffer: fixed-capacity FIFO ring of samples with exact O(1)
 //    amortized windowed min/max (monotonic deques). Min/max are comparison-
 //    only, so they are bit-identical to a scan over the window.
-//  - SlidingFold: the classic two-stack sliding-window aggregation trick for
-//    any associative "map composition", amortized O(1) push/pop. The fold
-//    result differs from a sequential left fold only by floating-point
-//    reassociation (the maps composed are identical, only the grouping
-//    changes), which is the documented parity model for the smoothing
-//    forecasters.
-//  - SesMap / HoltMap: the per-observation state-transition maps of simple
-//    exponential smoothing and Holt's linear method, extended with the
-//    running one-step SSE. Both recurrences are affine in the smoothing
-//    state and the SSE is quadratic in it, so the composition of any number
-//    of observations is itself (affine, quadratic) — a closed, associative
-//    algebra that SlidingFold can maintain under push/pop.
+//
+// SES and Holt keep no window of their own: they sweep the caller's window
+// on every call (src/forecast/smoothing.h).
 #ifndef SRC_FORECAST_SLIDING_H_
 #define SRC_FORECAST_SLIDING_H_
 
@@ -120,178 +111,6 @@ class WindowBuffer {
   std::uint64_t next_index_ = 0;  // Logical index of the next append.
   std::deque<std::pair<std::uint64_t, double>> max_;
   std::deque<std::pair<std::uint64_t, double>> min_;
-};
-
-// Two-stack sliding-window fold of an associative map algebra. `Map` must
-// provide `static Map Identity()` and `Map Then(const Map& next) const`
-// returning "apply *this first, then next". Push/PopFront are amortized
-// O(1) compositions; the amortization constant is one extra composition per
-// element (each element is re-aggregated exactly once when the back stack
-// flips to the front stack).
-template <typename Map>
-class SlidingFold {
- public:
-  void Clear() {
-    front_.clear();
-    back_.clear();
-    back_agg_ = Map::Identity();
-  }
-
-  std::size_t size() const { return front_.size() + back_.size(); }
-  bool empty() const { return front_.empty() && back_.empty(); }
-
-  void Push(const Map& m) {
-    back_agg_ = back_.empty() ? m : back_agg_.Then(m);
-    back_.push_back({m, back_agg_});
-  }
-
-  // Removes the oldest map. Precondition: !empty().
-  void PopFront() {
-    if (front_.empty()) {
-      // Flip: move the back stack over, computing suffix aggregates so the
-      // stack top (oldest element) carries the fold of the whole group.
-      for (std::size_t i = back_.size(); i-- > 0;) {
-        const Map& raw = back_[i].raw;
-        front_.push_back({raw, front_.empty() ? raw : raw.Then(front_.back().agg)});
-      }
-      back_.clear();
-      back_agg_ = Map::Identity();
-    }
-    front_.pop_back();
-  }
-
-  // Left fold of all maps, oldest applied first. Identity when empty.
-  Map Aggregate() const {
-    if (front_.empty() && back_.empty()) {
-      return Map::Identity();
-    }
-    if (front_.empty()) {
-      return back_.back().agg;
-    }
-    if (back_.empty()) {
-      return front_.back().agg;
-    }
-    return front_.back().agg.Then(back_.back().agg);
-  }
-
-  // The two partial aggregates, for evaluation without composing them
-  // (cheaper when only the action on one concrete state is needed):
-  // apply *first, then *second. Either may be Identity.
-  void Parts(Map const** first, Map const** second) const {
-    static const Map kIdentity = Map::Identity();
-    *first = front_.empty() ? &kIdentity : &front_.back().agg;
-    *second = back_.empty() ? &kIdentity : &back_agg_;
-  }
-
- private:
-  struct Entry {
-    Map raw;
-    Map agg;
-  };
-  std::vector<Entry> front_;  // Oldest at back(); agg = suffix fold.
-  std::vector<Entry> back_;   // Newest at back(); agg = prefix fold.
-  Map back_agg_ = Map::Identity();
-};
-
-// Observation map of simple exponential smoothing with one-step SSE:
-//   err = y - L;  S += err^2;  L += alpha * err
-// As a function of the incoming state L: L' = m*L + b is affine and the SSE
-// increment is the quadratic qa*L^2 + qb*L + qc.
-struct SesMap {
-  double m = 1.0, b = 0.0;
-  double qa = 0.0, qb = 0.0, qc = 0.0;
-
-  static SesMap Identity() { return {}; }
-
-  static SesMap Observe(double y, double alpha) {
-    SesMap t;
-    t.m = 1.0 - alpha;
-    t.b = alpha * y;
-    t.qa = 1.0;
-    t.qb = -2.0 * y;
-    t.qc = y * y;
-    return t;
-  }
-
-  // Apply *this first, then `g`.
-  SesMap Then(const SesMap& g) const {
-    SesMap t;
-    t.m = g.m * m;
-    t.b = g.m * b + g.b;
-    t.qa = qa + g.qa * m * m;
-    t.qb = qb + 2.0 * g.qa * m * b + g.qb * m;
-    t.qc = qc + g.qa * b * b + g.qb * b + g.qc;
-    return t;
-  }
-
-  // Applies the map to level `level` with SSE accumulator `*sse`.
-  double Apply(double level, double* sse) const {
-    *sse += (qa * level + qb) * level + qc;
-    return m * level + b;
-  }
-};
-
-// Observation map of Holt's linear method with one-step SSE:
-//   pred = L + T; err = y - pred; S += err^2
-//   L' = pred + alpha*err;  T' = T + alpha*beta*err
-// Affine in (L, T) with a quadratic SSE increment in (L, T).
-struct HoltMap {
-  double a11 = 1.0, a12 = 0.0, a21 = 0.0, a22 = 1.0;
-  double c1 = 0.0, c2 = 0.0;
-  double qll = 0.0, qtt = 0.0, qlt = 0.0, ql = 0.0, qt = 0.0, q0 = 0.0;
-
-  static HoltMap Identity() { return {}; }
-
-  static HoltMap Observe(double y, double alpha, double beta) {
-    HoltMap t;
-    const double ab = alpha * beta;
-    t.a11 = 1.0 - alpha;
-    t.a12 = 1.0 - alpha;
-    t.c1 = alpha * y;
-    t.a21 = -ab;
-    t.a22 = 1.0 - ab;
-    t.c2 = ab * y;
-    // (y - L - T)^2
-    t.qll = 1.0;
-    t.qtt = 1.0;
-    t.qlt = 2.0;
-    t.ql = -2.0 * y;
-    t.qt = -2.0 * y;
-    t.q0 = y * y;
-    return t;
-  }
-
-  // Apply *this first, then `g`.
-  HoltMap Then(const HoltMap& g) const {
-    HoltMap t;
-    t.a11 = g.a11 * a11 + g.a12 * a21;
-    t.a12 = g.a11 * a12 + g.a12 * a22;
-    t.a21 = g.a21 * a11 + g.a22 * a21;
-    t.a22 = g.a21 * a12 + g.a22 * a22;
-    t.c1 = g.a11 * c1 + g.a12 * c2 + g.c1;
-    t.c2 = g.a21 * c1 + g.a22 * c2 + g.c2;
-    // Substitute this->affine into g's quadratic and add this->quadratic.
-    t.qll = qll + g.qll * a11 * a11 + g.qtt * a21 * a21 + g.qlt * a11 * a21;
-    t.qtt = qtt + g.qll * a12 * a12 + g.qtt * a22 * a22 + g.qlt * a12 * a22;
-    t.qlt = qlt + 2.0 * g.qll * a11 * a12 + 2.0 * g.qtt * a21 * a22 +
-            g.qlt * (a11 * a22 + a12 * a21);
-    t.ql = ql + 2.0 * g.qll * a11 * c1 + 2.0 * g.qtt * a21 * c2 +
-           g.qlt * (a11 * c2 + a21 * c1) + g.ql * a11 + g.qt * a21;
-    t.qt = qt + 2.0 * g.qll * a12 * c1 + 2.0 * g.qtt * a22 * c2 +
-           g.qlt * (a12 * c2 + a22 * c1) + g.ql * a12 + g.qt * a22;
-    t.q0 = q0 + g.qll * c1 * c1 + g.qtt * c2 * c2 + g.qlt * c1 * c2 + g.ql * c1 +
-           g.qt * c2 + g.q0;
-    return t;
-  }
-
-  // Applies the map to (level, trend) with SSE accumulator `*sse`.
-  void Apply(double* level, double* trend, double* sse) const {
-    const double l = *level;
-    const double t = *trend;
-    *sse += qll * l * l + qtt * t * t + qlt * l * t + ql * l + qt * t + q0;
-    *level = a11 * l + a12 * t + c1;
-    *trend = a21 * l + a22 * t + c2;
-  }
 };
 
 }  // namespace femux

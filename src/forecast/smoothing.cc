@@ -41,23 +41,26 @@ const HoltGrid& FlatHoltGrid() {
 // Grid sweeps through the SIMD kernel layer (lanes = grid points, each
 // lane running exactly the scalar one-step-ahead recurrence — see
 // src/stats/simd.h). Selection keeps the first strict improvement, so ties
-// resolve to the lowest grid index exactly as the per-alpha loops did.
-void SweepSes(std::span<const double> y, double* best_level,
-              double* best_sse) {
+// resolve to the lowest grid index exactly as the per-alpha loops did; if
+// no SSE is below infinity the last sample stands.
+double SweepSes(std::span<const double> y) {
   std::array<double, kAlphaGrid.size()> levels;
   std::array<double, kAlphaGrid.size()> sses;
   simd::SesSweep(y.data(), y.size(), kAlphaGrid.data(), kAlphaGrid.size(),
                  levels.data(), sses.data());
+  double best_level = y.back();
+  double best_sse = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < kAlphaGrid.size(); ++i) {
-    if (sses[i] < *best_sse) {
-      *best_sse = sses[i];
-      *best_level = levels[i];
+    if (sses[i] < best_sse) {
+      best_sse = sses[i];
+      best_level = levels[i];
     }
   }
+  return best_level;
 }
 
 void SweepHolt(std::span<const double> y, double* best_level,
-               double* best_trend, double* best_sse) {
+               double* best_trend) {
   const HoltGrid& grid = FlatHoltGrid();
   std::array<double, kHoltGridSize> levels;
   std::array<double, kHoltGridSize> trends;
@@ -65,9 +68,12 @@ void SweepHolt(std::span<const double> y, double* best_level,
   simd::HoltSweep(y.data(), y.size(), grid.alphas.data(),
                   grid.alpha_betas.data(), kHoltGridSize, levels.data(),
                   trends.data(), sses.data());
+  *best_level = y.back();
+  *best_trend = 0.0;
+  double best_sse = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < kHoltGridSize; ++i) {
-    if (sses[i] < *best_sse) {
-      *best_sse = sses[i];
+    if (sses[i] < best_sse) {
+      best_sse = sses[i];
       *best_level = levels[i];
       *best_trend = trends[i];
     }
@@ -84,91 +90,12 @@ std::vector<double> ExponentialSmoothingForecaster::Forecast(
   if (history.size() == 1) {
     return std::vector<double>(horizon, ClampPrediction(history.front()));
   }
-  double best_level = history.back();
-  double best_sse = std::numeric_limits<double>::infinity();
-  SweepSes(history, &best_level, &best_sse);
   // SES is flat beyond one step.
-  return std::vector<double>(horizon, ClampPrediction(best_level));
+  return std::vector<double>(horizon, ClampPrediction(SweepSes(history)));
 }
 
 std::unique_ptr<Forecaster> ExponentialSmoothingForecaster::Clone() const {
   return std::make_unique<ExponentialSmoothingForecaster>();
-}
-
-void ExponentialSmoothingForecaster::BeginWindow(std::span<const double> history,
-                                                 std::size_t capacity) {
-  window_.Reset(history, capacity);
-  for (auto& fold : folds_) {
-    fold.Clear();
-  }
-  for (std::size_t t = 1; t < window_.size(); ++t) {
-    const double y = window_[t];
-    for (std::size_t i = 0; i < kGridSize; ++i) {
-      folds_[i].Push(SesMap::Observe(y, kAlphaGrid[i]));
-    }
-  }
-}
-
-void ExponentialSmoothingForecaster::ObserveAppend(double value) {
-  const bool was_full = window_.full() && window_.size() > 0;
-  double evicted = 0.0;
-  window_.Append(value, &evicted);
-  for (std::size_t i = 0; i < kGridSize; ++i) {
-    // The old window's second sample becomes the new initial level, so its
-    // observation map leaves the fold.
-    if (was_full && !folds_[i].empty()) {
-      folds_[i].PopFront();
-    }
-    if (window_.size() >= 2) {
-      folds_[i].Push(SesMap::Observe(value, kAlphaGrid[i]));
-    }
-  }
-}
-
-double ExponentialSmoothingForecaster::ForecastNext() {
-  const std::size_t n = window_.size();
-  if (n == 0) {
-    return 0.0;
-  }
-  if (n == 1) {
-    return ClampPrediction(window_.front());
-  }
-  // Constant window: the batch recurrence keeps level == v and every SSE at
-  // exactly zero for every alpha, so the first grid point wins and the
-  // forecast is v. O(1) and bit-exact.
-  if (window_.Min() == window_.Max()) {
-    return ClampPrediction(window_.front());
-  }
-  double best_level = window_.back();
-  double best_sse = std::numeric_limits<double>::infinity();
-  double runner_up_sse = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < kGridSize; ++i) {
-    const SesMap* first = nullptr;
-    const SesMap* second = nullptr;
-    folds_[i].Parts(&first, &second);
-    double sse = 0.0;
-    double level = window_.front();
-    level = first->Apply(level, &sse);
-    level = second->Apply(level, &sse);
-    if (sse < best_sse) {
-      runner_up_sse = best_sse;
-      best_sse = sse;
-      best_level = level;
-    } else if (sse < runner_up_sse) {
-      runner_up_sse = sse;
-    }
-  }
-  // Near-tied grid points: the fold's reassociation noise (~1e-16 relative)
-  // could pick a different winner than the batch sweep, and the winning
-  // alpha feeds the output directly. Resolve ties with a bit-exact
-  // batch-order resweep; genuine separation (the common case) never pays it.
-  if (runner_up_sse - best_sse <= 1e-9 * best_sse) {
-    window_.CopyTo(&scratch_);
-    best_level = scratch_.back();
-    best_sse = std::numeric_limits<double>::infinity();
-    SweepSes(scratch_, &best_level, &best_sse);
-  }
-  return ClampPrediction(best_level);
 }
 
 std::vector<double> HoltForecaster::Forecast(std::span<const double> history,
@@ -177,10 +104,9 @@ std::vector<double> HoltForecaster::Forecast(std::span<const double> history,
     const double last = history.empty() ? 0.0 : history.back();
     return std::vector<double>(horizon, ClampPrediction(last));
   }
-  double best_level = history.back();
+  double best_level = 0.0;
   double best_trend = 0.0;
-  double best_sse = std::numeric_limits<double>::infinity();
-  SweepHolt(history, &best_level, &best_trend, &best_sse);
+  SweepHolt(history, &best_level, &best_trend);
   std::vector<double> out;
   out.reserve(horizon);
   for (std::size_t h = 1; h <= horizon; ++h) {
@@ -191,89 +117,6 @@ std::vector<double> HoltForecaster::Forecast(std::span<const double> history,
 
 std::unique_ptr<Forecaster> HoltForecaster::Clone() const {
   return std::make_unique<HoltForecaster>();
-}
-
-void HoltForecaster::BeginWindow(std::span<const double> history,
-                                 std::size_t capacity) {
-  window_.Reset(history, capacity);
-  for (auto& fold : folds_) {
-    fold.Clear();
-  }
-  for (std::size_t t = 1; t < window_.size(); ++t) {
-    const double y = window_[t];
-    for (std::size_t a = 0; a < kAlphaCount; ++a) {
-      for (std::size_t b = 0; b < kBetaCount; ++b) {
-        folds_[a * kBetaCount + b].Push(
-            HoltMap::Observe(y, kAlphaGrid[a], kBetaGrid[b]));
-      }
-    }
-  }
-}
-
-void HoltForecaster::ObserveAppend(double value) {
-  const bool was_full = window_.full() && window_.size() > 0;
-  double evicted = 0.0;
-  window_.Append(value, &evicted);
-  for (std::size_t a = 0; a < kAlphaCount; ++a) {
-    for (std::size_t b = 0; b < kBetaCount; ++b) {
-      SlidingFold<HoltMap>& fold = folds_[a * kBetaCount + b];
-      if (was_full && !fold.empty()) {
-        fold.PopFront();
-      }
-      if (window_.size() >= 2) {
-        fold.Push(HoltMap::Observe(value, kAlphaGrid[a], kBetaGrid[b]));
-      }
-    }
-  }
-}
-
-double HoltForecaster::ForecastNext() {
-  const std::size_t n = window_.size();
-  if (n < 3) {
-    return ClampPrediction(n == 0 ? 0.0 : window_.back());
-  }
-  // Constant window: the batch recurrence keeps level == v and trend == 0
-  // exactly, every SSE is exactly zero, and the first grid point wins.
-  if (window_.Min() == window_.Max()) {
-    return ClampPrediction(window_.front());
-  }
-  const double init_level = window_.front();
-  const double init_trend = window_[1] - window_[0];
-  double best_level = window_.back();
-  double best_trend = 0.0;
-  double best_sse = std::numeric_limits<double>::infinity();
-  double runner_up_sse = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < kAlphaCount * kBetaCount; ++i) {
-    const HoltMap* first = nullptr;
-    const HoltMap* second = nullptr;
-    folds_[i].Parts(&first, &second);
-    double sse = 0.0;
-    double level = init_level;
-    double trend = init_trend;
-    first->Apply(&level, &trend, &sse);
-    second->Apply(&level, &trend, &sse);
-    if (sse < best_sse) {
-      runner_up_sse = best_sse;
-      best_sse = sse;
-      best_level = level;
-      best_trend = trend;
-    } else if (sse < runner_up_sse) {
-      runner_up_sse = sse;
-    }
-  }
-  // Exactly-tied batch SSEs show up here as ~1e-16 fold noise, and the
-  // winning (alpha, beta) feeds the output directly — e.g. at n == 3 the
-  // one-step error of the first sample is zero for every grid point, so the
-  // whole grid ties. Resolve near-ties with a bit-exact batch-order resweep.
-  if (runner_up_sse - best_sse <= 1e-9 * best_sse) {
-    window_.CopyTo(&scratch_);
-    best_level = scratch_.back();
-    best_trend = 0.0;
-    best_sse = std::numeric_limits<double>::infinity();
-    SweepHolt(scratch_, &best_level, &best_trend, &best_sse);
-  }
-  // Horizon 1 of the batch path: level + 1 * trend.
-  return ClampPrediction(best_level + 1.0 * best_trend);
 }
 
 }  // namespace femux

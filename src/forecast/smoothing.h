@@ -3,14 +3,19 @@
 // (Chatfield & Yar '88) for trending traffic. Both select their smoothing
 // parameters dynamically per call by minimizing in-sample one-step error
 // over a small grid ("dynamic parameter selection", §4.3.3).
+//
+// Both are stateless and serve every call, the online one-step forecast
+// included, from the window through one register-blocked grid sweep
+// (simd::SesSweep / simd::HoltSweep). They keep no incremental state: the
+// sweep over a 120-sample window costs about as much as maintaining
+// sliding folds of the grid did, and keeping the working set to the
+// caller's window is what makes it faster at fleet scale (DESIGN.md §7).
 #ifndef SRC_FORECAST_SMOOTHING_H_
 #define SRC_FORECAST_SMOOTHING_H_
 
-#include <array>
 #include <vector>
 
 #include "src/forecast/forecaster.h"
-#include "src/forecast/sliding.h"
 
 namespace femux {
 
@@ -22,27 +27,6 @@ class ExponentialSmoothingForecaster final : public Forecaster {
   std::vector<double> Forecast(std::span<const double> history,
                                std::size_t horizon) override;
   std::unique_ptr<Forecaster> Clone() const override;
-
-  // Incremental protocol: one SlidingFold of SES observation maps per alpha
-  // grid point carries the level recurrence and in-sample SSE forward in
-  // O(1) amortized per epoch. Parity bound vs the batch path: ~1e-9 relative
-  // (fold grouping reassociates the level/SSE recurrences). Grid selection
-  // matches batch even on exactly-tied SSEs: constant windows short-circuit
-  // and near-tied folds fall back to a bit-exact batch-order resweep.
-  bool SupportsIncremental() const override { return true; }
-  void BeginWindow(std::span<const double> history, std::size_t capacity) override;
-  void ObserveAppend(double value) override;
-  double ForecastNext() override;
-
-  static constexpr std::size_t kGridSize = 9;
-
- private:
-  WindowBuffer window_;
-  // Fold i covers window samples [1..n) for alpha grid point i (sample 0 is
-  // the initial level, not an observation).
-  std::array<SlidingFold<SesMap>, kGridSize> folds_;
-  // Scratch buffer for the near-tie resweep; reused across calls.
-  std::vector<double> scratch_;
 };
 
 class HoltForecaster final : public Forecaster {
@@ -53,21 +37,6 @@ class HoltForecaster final : public Forecaster {
   std::vector<double> Forecast(std::span<const double> history,
                                std::size_t horizon) override;
   std::unique_ptr<Forecaster> Clone() const override;
-
-  // Incremental protocol: one SlidingFold of Holt observation maps per
-  // (alpha, beta) grid point; same parity model as SES.
-  bool SupportsIncremental() const override { return true; }
-  void BeginWindow(std::span<const double> history, std::size_t capacity) override;
-  void ObserveAppend(double value) override;
-  double ForecastNext() override;
-
-  static constexpr std::size_t kAlphaCount = 9;
-  static constexpr std::size_t kBetaCount = 4;
-
- private:
-  WindowBuffer window_;
-  std::array<SlidingFold<HoltMap>, kAlphaCount * kBetaCount> folds_;
-  std::vector<double> scratch_;
 };
 
 }  // namespace femux

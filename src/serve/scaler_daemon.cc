@@ -71,6 +71,7 @@ void AccumulateCounters(DaemonCounters* total, const DaemonCounters& part) {
   total->quarantine_reopens += part.quarantine_reopens;
   total->quarantine_releases += part.quarantine_releases;
   total->clock_skew_applied += part.clock_skew_applied;
+  total->latency_overwrites += part.latency_overwrites;
   total->checkpoints += part.checkpoints;
   total->checkpoint_failures += part.checkpoint_failures;
   total->checkpoint_bytes += part.checkpoint_bytes;
@@ -117,6 +118,7 @@ std::string DaemonCounters::ToJson() const {
       << ", \"quarantine_reopens\": " << quarantine_reopens
       << ", \"quarantine_releases\": " << quarantine_releases
       << ", \"clock_skew_applied\": " << clock_skew_applied
+      << ", \"latency_overwrites\": " << latency_overwrites
       << ", \"checkpoints\": " << checkpoints
       << ", \"checkpoint_failures\": " << checkpoint_failures
       << ", \"checkpoint_bytes\": " << checkpoint_bytes
@@ -448,7 +450,14 @@ void ScalerDaemon::DecideShard(Shard& shard, std::uint64_t tick) {
     AppState& state = shard.apps[slot];
     const auto start = Clock::now();
     Decision decision = DecideApp(shard, state, tick);
-    shard.latencies_us.push_back(ElapsedMs(start) * 1000.0);
+    const double latency_us = ElapsedMs(start) * 1000.0;
+    if (shard.latencies_us.size() < kLatencySamplesPerShard) {
+      shard.latencies_us.push_back(latency_us);
+    } else {
+      shard.latencies_us[shard.latency_next] = latency_us;
+      shard.latency_next = (shard.latency_next + 1) % kLatencySamplesPerShard;
+      ++shard.counters.latency_overwrites;
+    }
     ++shard.counters.decisions;
     shard.latest.push_back(std::move(decision));
   }
@@ -667,8 +676,12 @@ std::vector<double> ScalerDaemon::DrainDecisionLatenciesUs() {
   std::vector<double> out;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    out.insert(out.end(), shard->latencies_us.begin(), shard->latencies_us.end());
+    const auto oldest = shard->latencies_us.begin() +
+                        static_cast<std::ptrdiff_t>(shard->latency_next);
+    out.insert(out.end(), oldest, shard->latencies_us.end());
+    out.insert(out.end(), shard->latencies_us.begin(), oldest);
     shard->latencies_us.clear();
+    shard->latency_next = 0;
   }
   return out;
 }

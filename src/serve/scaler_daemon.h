@@ -149,6 +149,7 @@ struct DaemonCounters {
   std::uint64_t quarantine_reopens = 0;   // Failed probes re-arming the breaker.
   std::uint64_t quarantine_releases = 0;  // Breakers closed by clean probes.
   std::uint64_t clock_skew_applied = 0;
+  std::uint64_t latency_overwrites = 0;  // Latency samples lost to the ring.
   // Checkpoints.
   std::uint64_t checkpoints = 0;
   std::uint64_t checkpoint_failures = 0;
@@ -216,9 +217,13 @@ class ScalerDaemon {
   // Newest target for one app; NaN when the app is unknown.
   double LatestTarget(const std::string& app) const;
 
-  // Per-decision wall latencies (microseconds) accumulated since the last
-  // drain; the load bench computes p50/p99 from these.
+  // Per-decision wall latencies (microseconds) recorded since the last
+  // drain, oldest first per shard; the load bench computes p50/p99 from
+  // these. Each shard keeps only its newest kLatencySamplesPerShard samples
+  // (older ones are overwritten and counted in latency_overwrites), so a
+  // daemon that nobody drains holds a bounded buffer.
   std::vector<double> DrainDecisionLatenciesUs();
+  static constexpr std::size_t kLatencySamplesPerShard = std::size_t{1} << 16;
 
   // Degradation/fault counters for one app (testing/inspection).
   struct AppHealth {
@@ -272,7 +277,10 @@ class ScalerDaemon {
     std::vector<AppState> apps;
     std::map<std::string, std::size_t> slots;
     DaemonCounters counters;
+    // Ring of the newest decision latencies; once full, `latency_next` is
+    // the oldest sample and the next one overwritten.
     std::vector<double> latencies_us;
+    std::size_t latency_next = 0;
     std::vector<Decision> latest;
   };
 

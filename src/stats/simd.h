@@ -2,7 +2,7 @@
 //
 // The inner math of the training and serving hot paths — FFT butterflies,
 // Bluestein chirp multiplies, sliding-DFT bin updates, SES/Holt grid
-// folds, BDS neighbor counting, K-means distance loops, and the dot/axpy
+// sweeps, BDS neighbor counting, K-means distance loops, and the dot/axpy
 // primitives — funnels through the free functions below. Each function is
 // dispatched at runtime to the widest instruction set the CPU supports
 // (AVX2 → SSE2 → scalar on x86-64; scalar elsewhere), with the scalar
@@ -73,11 +73,15 @@ struct KernelTable {
   // SES one-step-ahead SSE sweep over `g` alphas (lanes = grid points):
   // per alpha: level = y[0]; for t in [1, n): err = y[t] - level;
   // sse += err*err; level += alpha*err. Writes levels[g], sses[g].
+  // Requires n >= 1. The vector tables register-block the grid: each
+  // sample advances up to 9 vector groups, the last one padded with the
+  // last grid point, and only the g real lanes are stored (DESIGN.md §12).
   void (*ses_sweep)(const double* y, std::size_t n, const double* alphas,
                     std::size_t g, double* levels, double* sses) = nullptr;
   // Holt sweep over `g` (alpha, alpha*beta) grid points: level = y[0],
-  // trend = y[1]-y[0]; per t: pred = level+trend; err = y[t]-pred;
-  // sse += err*err; level = pred + alpha*err; trend += ab*err.
+  // trend = y[1]-y[0] (0 when n == 1); per t: pred = level+trend;
+  // err = y[t]-pred; sse += err*err; level = pred + alpha*err;
+  // trend += ab*err. Requires n >= 1; blocked like ses_sweep.
   void (*holt_sweep)(const double* y, std::size_t n, const double* alphas,
                      const double* alpha_betas, std::size_t g, double* levels,
                      double* trends, double* sses) = nullptr;

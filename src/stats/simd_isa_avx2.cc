@@ -14,11 +14,14 @@ const KernelTable* Avx2Table();
 
 #if defined(__AVX2__) && FEMUX_SIMD_VEC_WIDTH == 4
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 namespace femux {
 namespace simd {

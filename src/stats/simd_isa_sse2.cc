@@ -18,11 +18,14 @@ const KernelTable* Sse2Table();
 
 #if FEMUX_SIMD_VEC_WIDTH == 2
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 namespace femux {
 namespace simd {

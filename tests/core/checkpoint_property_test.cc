@@ -3,6 +3,7 @@
 // empty) — never partial fields, never corrupt values, never a crash.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -196,6 +197,91 @@ TEST(CheckpointPropertyTest, FileTruncateHookPublishesLoadablePrefix) {
     ExpectAppEq(loaded.apps[i], original.apps[i], i);
   }
   std::remove(path.c_str());
+}
+
+// FNV-1a-64 as 16 lowercase hex digits: the record checksum, rebuilt here
+// so the test can frame a record the way an older writer did.
+std::string ChecksumHex(const std::string& body) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (unsigned char c : body) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+  char buffer[17];
+  std::snprintf(buffer, sizeof(buffer), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return buffer;
+}
+
+void ExpectBitsEq(double actual, double expected, const char* what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual),
+            std::bit_cast<std::uint64_t>(expected))
+      << what << ": " << actual << " vs " << expected;
+}
+
+// Records are written in the shortest round-trip decimal form
+// (std::to_chars). That must read back bit-exactly, and records an older
+// writer formatted through an ostream at precision 17 must still load to
+// the same bits.
+TEST(CheckpointPropertyTest, ShortestFormAndPrecision17RecordsLoadBitExact) {
+  const std::vector<double> values = {
+      5e-324, 0.1, 1e300, 0.0, -0.0, 1.0, 42.0, 9007199254740992.0,
+      1.0 / 3.0, 2.2250738585072014e-308, 1.7976931348623157e308, 12.375};
+  DaemonCheckpoint checkpoint;
+  checkpoint.tick = 18446744073709551615ULL;
+  DaemonAppCheckpoint app;
+  app.id = "app 0";
+  app.forecaster = "holt";
+  app.observed = 123456789012345ULL;
+  app.last_epoch = 77;
+  app.has_epoch = true;
+  app.has_last_good = true;
+  app.last_good = 0.1;
+  app.quarantined_until = 3;
+  app.consecutive_faults = 4294967295u;
+  app.ring = values;
+  checkpoint.apps.push_back(app);
+
+  std::ostringstream shortest;
+  SaveDaemonCheckpoint(checkpoint, shortest);
+  EXPECT_NE(shortest.str().find(
+                " 0.1 3 4294967295 12 5e-324 0.1 1e+300 0 -0 1 42 9007199254740992 "),
+            std::string::npos)
+      << shortest.str();
+
+  // The same record as the precision-17 ostream writer produced it.
+  std::ostringstream body;
+  body.precision(17);
+  body << "app app%200 holt " << app.observed << ' ' << app.last_epoch
+       << " 1 1 " << app.last_good << ' ' << app.quarantined_until << ' '
+       << app.consecutive_faults << ' ' << app.ring.size();
+  for (double v : app.ring) {
+    body << ' ' << v;
+  }
+  const std::string header = "femux-daemon-v1 18446744073709551615 1";
+  const std::string precision17 = header + ' ' + ChecksumHex(header) + '\n' +
+                                  body.str() + ' ' + ChecksumHex(body.str()) +
+                                  '\n';
+  EXPECT_NE(precision17.find(" 0.10000000000000001 "), std::string::npos);
+
+  for (const std::string& blob : {shortest.str(), precision17}) {
+    std::istringstream in(blob);
+    DaemonCheckpoint loaded;
+    ASSERT_TRUE(LoadDaemonCheckpoint(in, &loaded)) << blob;
+    EXPECT_EQ(loaded.tick, checkpoint.tick);
+    ASSERT_EQ(loaded.apps.size(), 1u);
+    const DaemonAppCheckpoint& got = loaded.apps[0];
+    EXPECT_EQ(got.id, app.id);
+    EXPECT_EQ(got.observed, app.observed);
+    EXPECT_EQ(got.last_epoch, app.last_epoch);
+    EXPECT_EQ(got.quarantined_until, app.quarantined_until);
+    EXPECT_EQ(got.consecutive_faults, app.consecutive_faults);
+    ExpectBitsEq(got.last_good, app.last_good, "last_good");
+    ASSERT_EQ(got.ring.size(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      ExpectBitsEq(got.ring[i], values[i], "ring");
+    }
+  }
 }
 
 }  // namespace

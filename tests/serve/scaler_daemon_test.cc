@@ -409,6 +409,45 @@ TEST(ScalerDaemonTest, StartStopRealTimeLoopTicks) {
   EXPECT_EQ(daemon.app_count(), 1u);
 }
 
+// Nothing drains the latency buffer in Start() mode, so each shard keeps
+// only its newest kLatencySamplesPerShard samples and counts the rest.
+TEST(ScalerDaemonTest, LatencyRingKeepsNewestSamplesAndCountsOverwrites) {
+  ScalerDaemonOptions options = BaseOptions();
+  options.shards = 1;
+  options.forecaster = "moving_average_1";
+  ScalerDaemon daemon(options);
+  constexpr std::size_t kApps = 512;
+  const std::size_t capacity = ScalerDaemon::kLatencySamplesPerShard;
+  const std::uint64_t ticks = capacity / kApps + 3;
+  const auto ids = MakeAppIds(kApps);
+  const auto push_epoch = [&](std::uint64_t epoch) {
+    for (std::size_t a = 0; a < kApps; ++a) {
+      ASSERT_TRUE(daemon.Push({ids[a], epoch, Sample(a, epoch)}));
+    }
+  };
+  for (std::uint64_t epoch = 1; epoch <= ticks; ++epoch) {
+    push_epoch(epoch);
+    daemon.TickOnce();
+  }
+  const std::uint64_t decisions = kApps * ticks;
+  ASSERT_GT(decisions, capacity);
+  EXPECT_EQ(daemon.counters().decisions, decisions);
+  EXPECT_EQ(daemon.counters().latency_overwrites, decisions - capacity);
+  const std::vector<double> drained = daemon.DrainDecisionLatenciesUs();
+  EXPECT_EQ(drained.size(), capacity);
+  for (double us : drained) {
+    EXPECT_GE(us, 0.0);
+  }
+  // The drain empties the ring; the next tick starts it over and nothing
+  // more is overwritten.
+  push_epoch(ticks + 1);
+  daemon.TickOnce();
+  EXPECT_EQ(daemon.DrainDecisionLatenciesUs().size(), kApps);
+  EXPECT_EQ(daemon.counters().latency_overwrites, decisions - capacity);
+  EXPECT_NE(daemon.counters().ToJson().find("\"latency_overwrites\": "),
+            std::string::npos);
+}
+
 TEST(ScalerDaemonTest, UnknownForecasterThrows) {
   ScalerDaemonOptions options = BaseOptions();
   options.forecaster = "no-such-forecaster";

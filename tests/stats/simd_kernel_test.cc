@@ -4,8 +4,9 @@
 // bit-identical output (byte compare), per the KernelTable contract — the
 // one exception is dot_unordered, whose contract is tolerance-based.
 // Inputs deliberately cover tail lengths 1..4*lanes around the lane
-// boundary, denormals and negative zeros, and unaligned (off-by-one
-// element) buffer offsets, which is where lane-tail bugs live.
+// boundary (past a whole 9-group block for the SES/Holt sweeps), denormals
+// and negative zeros, and unaligned (off-by-one element) buffer offsets,
+// which is where lane-tail bugs live.
 #include "src/stats/simd.h"
 
 #include <bit>
@@ -171,9 +172,17 @@ TEST(SimdKernelTest, ComplexPointwiseKernelsMatchScalarBitwise) {
   }
 }
 
+// The SES/Holt sweeps advance up to 9 vector groups per block; sweep g
+// past one full block so every block size and padded tail group runs.
+constexpr std::size_t kSweepBlockGroups = 9;
+
+std::size_t MaxSweepGrid() {
+  return (kSweepBlockGroups + 1) * static_cast<std::size_t>(MaxLanes()) + 3;
+}
+
 TEST(SimdKernelTest, SesSweepMatchesScalarBitwise) {
   const simd::KernelTable& scalar = simd::ScalarTable();
-  const std::size_t max_g = 4 * static_cast<std::size_t>(MaxLanes()) + 3;
+  const std::size_t max_g = MaxSweepGrid();
   for (const simd::KernelTable* table : VectorTables()) {
     Rng rng(0x5e5 + table->lanes);
     for (std::size_t g = 1; g <= max_g; ++g) {
@@ -193,7 +202,7 @@ TEST(SimdKernelTest, SesSweepMatchesScalarBitwise) {
 
 TEST(SimdKernelTest, HoltSweepMatchesScalarBitwise) {
   const simd::KernelTable& scalar = simd::ScalarTable();
-  const std::size_t max_g = 4 * static_cast<std::size_t>(MaxLanes()) + 3;
+  const std::size_t max_g = MaxSweepGrid();
   for (const simd::KernelTable* table : VectorTables()) {
     Rng rng(0x401 + table->lanes);
     for (std::size_t g = 1; g <= max_g; ++g) {
@@ -212,6 +221,48 @@ TEST(SimdKernelTest, HoltSweepMatchesScalarBitwise) {
       ExpectBitEqual(levels_a.data(), levels_b.data(), g, table->isa, g);
       ExpectBitEqual(trends_a.data(), trends_b.data(), g, table->isa, g);
       ExpectBitEqual(sses_a.data(), sses_b.data(), g, table->isa, g);
+    }
+  }
+}
+
+// The production grids (smoothing.cc): 9 SES alphas, and Holt's 36
+// (alpha, alpha * beta) points flattened alpha-major, over window lengths
+// from the degenerate to a day.
+TEST(SimdKernelTest, SweepsMatchScalarOnProductionGrids) {
+  const simd::KernelTable& scalar = simd::ScalarTable();
+  const std::vector<double> alphas = {0.1, 0.2, 0.3, 0.4, 0.5,
+                                      0.6, 0.7, 0.8, 0.9};
+  std::vector<double> holt_alphas;
+  std::vector<double> holt_alpha_betas;
+  for (const double alpha : alphas) {
+    for (const double beta : {0.05, 0.1, 0.3, 0.5}) {
+      holt_alphas.push_back(alpha);
+      holt_alpha_betas.push_back(alpha * beta);
+    }
+  }
+  const std::size_t g = holt_alphas.size();
+  for (const simd::KernelTable* table : VectorTables()) {
+    Rng rng(0x6a1d + table->lanes);
+    for (const std::size_t n : {1u, 2u, 3u, 64u, 120u, 2880u}) {
+      const auto y = RandomDoubles(n, &rng);
+      std::vector<double> levels_a(9), sses_a(9), levels_b(9), sses_b(9);
+      scalar.ses_sweep(y.data(), n, alphas.data(), 9, levels_a.data(),
+                       sses_a.data());
+      table->ses_sweep(y.data(), n, alphas.data(), 9, levels_b.data(),
+                       sses_b.data());
+      ExpectBitEqual(levels_a.data(), levels_b.data(), 9, table->isa, n);
+      ExpectBitEqual(sses_a.data(), sses_b.data(), 9, table->isa, n);
+
+      std::vector<double> hl_a(g), ht_a(g), hs_a(g), hl_b(g), ht_b(g), hs_b(g);
+      scalar.holt_sweep(y.data(), n, holt_alphas.data(),
+                        holt_alpha_betas.data(), g, hl_a.data(), ht_a.data(),
+                        hs_a.data());
+      table->holt_sweep(y.data(), n, holt_alphas.data(),
+                        holt_alpha_betas.data(), g, hl_b.data(), ht_b.data(),
+                        hs_b.data());
+      ExpectBitEqual(hl_a.data(), hl_b.data(), g, table->isa, n);
+      ExpectBitEqual(ht_a.data(), ht_b.data(), g, table->isa, n);
+      ExpectBitEqual(hs_a.data(), hs_b.data(), g, table->isa, n);
     }
   }
 }
