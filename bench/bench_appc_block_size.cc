@@ -26,8 +26,6 @@ void Run() {
   const Rum rum = Rum::Default();
 
   std::vector<double> rums;
-  // The test set is fixed across block sizes; share the derived series.
-  SeriesCache series_cache;
   for (std::size_t block_minutes : {420u, 504u, 1008u}) {
     TrainerOptions trainer = BenchTrainerOptions();
     trainer.block_minutes = block_minutes;
@@ -35,7 +33,7 @@ void Run() {
     auto model = std::make_shared<FemuxModel>(trained.model);
     const FemuxPolicy prototype(model);
     const SimMetrics m =
-        SimulateFleetUniform(test, prototype, SimOptions{}, false, 0, &series_cache).total;
+        SimulateFleetUniform(test, prototype, SimOptions{}, false, 0).total;
     rums.push_back(rum.Evaluate(m));
     std::printf("block=%4zu min rum=%12.1f cold_s=%12.1f wasted_gbs=%14.0f\n",
                 block_minutes, rum.Evaluate(m), m.cold_start_seconds,
@@ -45,12 +43,6 @@ void Run() {
   const double hi = *std::max_element(rums.begin(), rums.end());
   PrintRow("max RUM spread across block sizes", 0.03, hi / lo - 1.0,
            "(paper: <3%)");
-
-  const SeriesCache::Stats stats = series_cache.stats();
-  PrintNote("series cache: " + std::to_string(stats.hits) + " hits, " +
-            std::to_string(stats.misses) + " misses, " +
-            std::to_string(stats.entries) +
-            " entries across the per-block-size evaluations");
 }
 
 }  // namespace

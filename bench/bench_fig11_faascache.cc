@@ -21,11 +21,9 @@ struct FemuxRun {
   SimMetrics metrics;
 };
 
-SimMetrics RunFemux(const Dataset& test, const TrainedFemux& trained,
-                    SeriesCache* series_cache) {
+SimMetrics RunFemux(const Dataset& test, const TrainedFemux& trained) {
   const FemuxPolicy prototype(trained.model);
-  return SimulateFleetUniform(test, prototype, SimOptions{}, false, 0, series_cache)
-      .total;
+  return SimulateFleetUniform(test, prototype, SimOptions{}).total;
 }
 
 void Run() {
@@ -40,11 +38,8 @@ void Run() {
   // its 2,523-app population; we anchor the sweep to this population's
   // working set instead — the average warm footprint of a 10-minute
   // keep-alive — and sweep the same ~(-11 %, 0, +11 %) band around it.
-  SeriesCache series_cache;
   const SimMetrics ka10 =
-      SimulateFleetUniform(test, *MakeKeepAlivePolicy(10), SimOptions{}, false, 0,
-                           &series_cache)
-          .total;
+      SimulateFleetUniform(test, *MakeKeepAlivePolicy(10), SimOptions{}).total;
   const double trace_seconds = dataset.duration_days * 24.0 * 3600.0;
   const double working_set_gb = ka10.allocated_gb_seconds / trace_seconds;
   std::vector<std::pair<double, FaasCacheResult>> sweep;
@@ -62,11 +57,9 @@ void Run() {
   }
 
   const FemuxRun runs[] = {
-      {"femux_default", RunFemux(test, GetOrTrainFemux(Rum::Default()), &series_cache)},
-      {"femux_cs",
-       RunFemux(test, GetOrTrainFemux(Rum::ColdStartFocused()), &series_cache)},
-      {"femux_mem",
-       RunFemux(test, GetOrTrainFemux(Rum::MemoryFocused()), &series_cache)},
+      {"femux_default", RunFemux(test, GetOrTrainFemux(Rum::Default()))},
+      {"femux_cs", RunFemux(test, GetOrTrainFemux(Rum::ColdStartFocused()))},
+      {"femux_mem", RunFemux(test, GetOrTrainFemux(Rum::MemoryFocused()))},
   };
   for (const FemuxRun& run : runs) {
     std::printf("%-24s %12.0f %12.3f %16.0f\n", run.label, run.metrics.cold_starts,
@@ -87,13 +80,6 @@ void Run() {
   const Rum rum = Rum::Default();
   PrintRow("FeMux RUM cut vs FaasCache@270GB", 0.30,
            1.0 - rum.Evaluate(runs[0].metrics) / rum.Evaluate(fc270));
-
-  const SeriesCache::Stats stats = series_cache.stats();
-  PrintNote("series cache: " + std::to_string(stats.hits) + " hits, " +
-            std::to_string(stats.misses) + " misses, " +
-            std::to_string(stats.entries) +
-            " entries (one demand/arrival expansion per app shared by every "
-            "policy sweep above)");
 }
 
 }  // namespace

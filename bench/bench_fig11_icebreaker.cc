@@ -20,20 +20,13 @@ void Run() {
   const BenchSplit split = BenchAzureSplit(dataset);
   const Dataset test = Subset(dataset, split.test);
 
-  SeriesCache series_cache;
   const SimMetrics ka10 =
-      SimulateFleetUniform(test, *MakeKeepAlivePolicy(10), SimOptions{}, false, 0,
-                           &series_cache)
-          .total;
+      SimulateFleetUniform(test, *MakeKeepAlivePolicy(10), SimOptions{}).total;
   const SimMetrics icebreaker =
-      SimulateFleetUniform(test, *MakeIceBreakerPolicy(), SimOptions{}, false, 0,
-                           &series_cache)
-          .total;
+      SimulateFleetUniform(test, *MakeIceBreakerPolicy(), SimOptions{}).total;
   const TrainedFemux femux_mem = GetOrTrainFemux(Rum::MemoryFocused());
   const SimMetrics femux =
-      SimulateFleetUniform(test, FemuxPolicy(femux_mem.model), SimOptions{}, false, 0,
-                           &series_cache)
-          .total;
+      SimulateFleetUniform(test, FemuxPolicy(femux_mem.model), SimOptions{}).total;
 
   // IceBreaker's metrics: keep-alive cost ~ wasted GB-s (dollar-proportional),
   // service time = execution + cold-start waits. The paper normalizes the

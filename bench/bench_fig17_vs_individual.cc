@@ -25,13 +25,10 @@ void Run() {
   const TrainedFemux trained = GetOrTrainFemux(Rum::Default());
 
   std::printf("%-18s %14s %16s %12s\n", "policy", "cold_s", "wasted_gbs", "rum");
-  // Every forecaster sweeps the same test set; share the derived series.
-  SeriesCache series_cache;
   double best_single_rum = 1e300;
   for (const std::string& name : trained.model->forecaster_names) {
     ForecasterPolicy policy(BenchForecaster(name));
-    const SimMetrics m =
-        SimulateFleetUniform(test, policy, SimOptions{}, false, 0, &series_cache).total;
+    const SimMetrics m = SimulateFleetUniform(test, policy, SimOptions{}).total;
     best_single_rum = std::min(best_single_rum, rum.Evaluate(m));
     std::printf("%-18s %14.1f %16.0f %12.1f\n", name.c_str(), m.cold_start_seconds,
                 m.wasted_gb_seconds, rum.Evaluate(m));
@@ -61,12 +58,6 @@ void Run() {
            rum.Evaluate(femux) / best_single_rum);
   PrintRow("apps that switched forecasters", 0.65, switched / apps);
   PrintRow("apps using 4+ forecasters", 0.20, four_or_more / apps);
-
-  const SeriesCache::Stats stats = series_cache.stats();
-  PrintNote("series cache: " + std::to_string(stats.hits) + " hits, " +
-            std::to_string(stats.misses) + " misses, " +
-            std::to_string(stats.entries) +
-            " entries across the per-forecaster sweeps");
 }
 
 }  // namespace

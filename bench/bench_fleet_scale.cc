@@ -24,18 +24,9 @@
 // 3. Huawei-preset scale sweep to 10^6 apps. SimulateFleetStream runs a
 //    cheap moving-average policy over lazily generated per-second fleets,
 //    recording wall time, apps/sec, epochs/sec and the RSS high-water mark
-//    per point. The sweep BYPASSES the SeriesCache (series_cache = null):
-//    a single-pass sweep visits every (app, epoch) key exactly once, so
-//    each lookup would miss by construction — the zero-alloc arena path is
-//    strictly better, and the bypass is recorded in the JSON. Gate: peak
-//    RSS growth across the sweep (a 10^4x fleet-size increase) stays under
-//    the configured budget plus fixed slack — flat memory in fleet size.
-//
-// 4. Two-pass SeriesCache demo. The cache exists for multi-pass consumers,
-//    so the bench demonstrates exactly that: the same small fleet swept
-//    twice against one generously sized cache must hit on the second pass
-//    (hits > 0), and a separate undersized cache must evict under budget
-//    (evictions > 0, resident bytes <= budget) — the eviction gate.
+//    per point. Gate: peak RSS growth across the sweep (a 10^4x fleet-size
+//    increase) stays under the configured budget plus fixed slack — flat
+//    memory in fleet size.
 //
 // Usage: bench_fleet_scale [--smoke] [--scale-smoke] [--json=PATH]
 //   --smoke        tiny sizes for CI; all sections.
@@ -252,9 +243,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(alloc_long.epochs),
               static_cast<unsigned long long>(alloc_delta), per_epoch_allocs);
 
-  // --- Section 3: scale sweep under a fixed memory ceiling. The budget is
-  // the cache budget retained as the flat-memory ceiling parameter;
-  // the sweep itself bypasses the cache (single pass — see header).
+  // --- Section 3: scale sweep under a fixed memory ceiling.
   const std::size_t memory_budget = args.smoke ? (256u << 10) : (32u << 20);
   const std::size_t rss_slack = 128u << 20;
   const std::vector<std::size_t> sweep_sizes =
@@ -264,8 +253,7 @@ int main(int argc, char** argv) {
           : std::vector<std::size_t>{100, 1000, 10000, 100000, 1000000};
 
   std::printf("scale sweep: huawei preset, %d min @ %d s/sample, epoch %.0f s, "
-              "series cache bypassed (single pass), rss ceiling %.2f MB + "
-              "%zu MB slack\n",
+              "rss ceiling %.2f MB + %zu MB slack\n",
               huawei.duration_minutes, huawei.seconds_per_sample,
               sweep_sim.epoch_seconds, memory_budget / (1024.0 * 1024.0),
               rss_slack >> 20);
@@ -277,7 +265,6 @@ int main(int argc, char** argv) {
     FleetStreamOptions options;
     options.sim = sweep_sim;
     options.chunk_apps = 64;
-    options.series_cache = nullptr;  // Single pass: arena path (DESIGN.md §14).
     const auto start = std::chrono::steady_clock::now();
     const FleetStreamResult result =
         SimulateFleetStreamUniform(source, sweep_policy, options);
@@ -315,53 +302,7 @@ int main(int argc, char** argv) {
               rss_slack >> 20, flat_ok ? "PASS" : "FAIL",
               rss_known ? "" : " (rss unavailable)");
 
-  // --- Section 4: two-pass SeriesCache demo + eviction gate.
-  SeriesCache::Stats two_pass_stats;
-  SeriesCache::Stats eviction_stats;
-  bool cache_hits_ok = true;
-  bool evictions_ok = true;
-  bool cache_bytes_ok = true;
-  if (!args.scale_smoke) {
-    HuaweiGeneratorOptions demo_gen = huawei;
-    demo_gen.num_apps = args.smoke ? 100 : 2000;
-    demo_gen.seed = 1234;
-    const HuaweiTraceSource demo_source(demo_gen);
-
-    // Pass 1 populates, pass 2 must hit: the multi-pass use case the cache
-    // is kept for (the sweep above deliberately bypasses it).
-    SeriesCache two_pass_cache;
-    two_pass_cache.SetBudget(64u << 20);
-    FleetStreamOptions demo;
-    demo.sim = sweep_sim;
-    demo.chunk_apps = 64;
-    demo.series_cache = &two_pass_cache;
-    SimulateFleetStreamUniform(demo_source, sweep_policy, demo);
-    SimulateFleetStreamUniform(demo_source, sweep_policy, demo);
-    two_pass_stats = two_pass_cache.stats();
-    cache_hits_ok = two_pass_stats.hits > 0;
-
-    // Undersized cache: the budget must actually bound residency.
-    const std::size_t small_budget = args.smoke ? (64u << 10) : (1u << 20);
-    SeriesCache small_cache;
-    small_cache.SetBudget(small_budget);
-    FleetStreamOptions evict = demo;
-    evict.series_cache = &small_cache;
-    SimulateFleetStreamUniform(demo_source, sweep_policy, evict);
-    eviction_stats = small_cache.stats();
-    evictions_ok = eviction_stats.evictions > 0;
-    cache_bytes_ok = eviction_stats.bytes <= small_budget;
-    std::printf("series cache: two-pass %llu hits / %llu misses %s; "
-                "eviction %llu evictions, %zu bytes <= %zu budget %s\n",
-                static_cast<unsigned long long>(two_pass_stats.hits),
-                static_cast<unsigned long long>(two_pass_stats.misses),
-                cache_hits_ok ? "PASS" : "FAIL",
-                static_cast<unsigned long long>(eviction_stats.evictions),
-                eviction_stats.bytes, small_budget,
-                evictions_ok && cache_bytes_ok ? "PASS" : "FAIL");
-  }
-
-  const bool all_ok =
-      sketch_ok && alloc_ok && flat_ok && cache_hits_ok && evictions_ok && cache_bytes_ok;
+  const bool all_ok = sketch_ok && alloc_ok && flat_ok;
 
   bool json_ok = true;
   if (!args.json_path.empty()) {
@@ -418,15 +359,6 @@ int main(int argc, char** argv) {
         << ", \"slack_bytes\": " << rss_slack
         << ", \"rss_known\": " << (rss_known ? "true" : "false")
         << ", \"flat_ok\": " << (flat_ok ? "true" : "false") << "},\n"
-        << "  \"series_cache\": {\"bypassed_in_sweep\": true"
-        << ", \"two_pass\": {\"hits\": " << two_pass_stats.hits
-        << ", \"misses\": " << two_pass_stats.misses
-        << ", \"ok\": " << (cache_hits_ok ? "true" : "false") << "}"
-        << ", \"eviction\": {\"evictions\": " << eviction_stats.evictions
-        << ", \"bytes\": " << eviction_stats.bytes
-        << ", \"evictions_ok\": " << (evictions_ok ? "true" : "false")
-        << ", \"bytes_within_budget\": " << (cache_bytes_ok ? "true" : "false")
-        << "}},\n"
         << "  \"ok\": " << (all_ok ? "true" : "false") << "\n}\n";
     out.flush();
     json_ok = out.good();

@@ -1,6 +1,6 @@
 // §5.2 scalability numbers, serving edition: per-decision latency of every
 // registry forecaster driven through the incremental serving protocol
-// (IncrementalSession over a sliding window), the way the daemon actually
+// (one ForecastStream over a sliding window), the way the daemon actually
 // runs them. The paper reports ~7 ms mean / 25 ms p99 per forecast for the
 // Python prototype; everything here is orders of magnitude under that.
 //
@@ -141,12 +141,16 @@ int main(int argc, char** argv) {
 
     // Timed serving loop: the incremental protocol over a sliding window,
     // exactly the daemon's per-app hot path.
-    IncrementalSession session;
     const std::span<const double> series(serve_series);
+    ForecastStream stream(kWindow);
+    stream.Bind(*serving);
+    for (const double v : series.first(kWarmup)) {
+      stream.Append(v);
+    }
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t t = kWarmup; t < series.size(); ++t) {
-      g_sink = g_sink +
-               session.ForecastStreamed(*serving, series.subspan(0, t), t, kWindow);
+      g_sink = g_sink + stream.Forecast();
+      stream.Append(series[t]);
     }
     const double seconds = Seconds(start);
     r.decisions = series.size() - kWarmup;

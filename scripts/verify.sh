@@ -26,7 +26,7 @@ SKIP_BENCH=0
 
 echo "== tier-1: configure + build + ctest =="
 cmake -B "$ROOT/build" -S "$ROOT"
-cmake --build "$ROOT/build" -j
+cmake --build "$ROOT/build" -j"$(nproc)"
 (cd "$ROOT/build" && ctest --output-on-failure -j)
 
 # The SIMD kernel layer (DESIGN.md §12) dispatches at runtime; the scalar
@@ -66,7 +66,7 @@ if [[ "$SKIP_BENCH" == "0" ]]; then
   echo "== bench smoke (Release) =="
   cmake -B "$ROOT/build-release" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release > /dev/null
   mkdir -p "$ROOT/bench/out"
-  cmake --build "$ROOT/build-release" --target bench_fleet_scale -j > /dev/null
+  cmake --build "$ROOT/build-release" --target bench_fleet_scale -j"$(nproc)" > /dev/null
   "$ROOT/build-release/bench/bench_fleet_scale" --smoke \
       --json="$ROOT/bench/out/fleet-scale-smoke.bench-scratch.json" || {
     echo "fleet-scale bench smoke FAILED (sketch parity, memory gate, or runtime error)"; exit 1;
@@ -79,17 +79,17 @@ if [[ "$SKIP_BENCH" == "0" ]]; then
       --json="$ROOT/bench/out/fleet-scale-100k.bench-scratch.json" || {
     echo "fleet-scale 10^5-app smoke FAILED (RSS ceiling or alloc gate)"; exit 1;
   }
-  cmake --build "$ROOT/build-release" --target bench_simd_kernels -j > /dev/null
+  cmake --build "$ROOT/build-release" --target bench_simd_kernels -j"$(nproc)" > /dev/null
   "$ROOT/build-release/bench/bench_simd_kernels" --smoke \
       --json="$ROOT/bench/out/simd-kernels-smoke.bench-scratch.json" || {
     echo "simd-kernels bench smoke FAILED (parity, speedup gate, or runtime error)"; exit 1;
   }
-  cmake --build "$ROOT/build-release" --target bench_scaler_daemon -j > /dev/null
+  cmake --build "$ROOT/build-release" --target bench_scaler_daemon -j"$(nproc)" > /dev/null
   "$ROOT/build-release/bench/bench_scaler_daemon" --smoke \
       --json="$ROOT/bench/out/scaler-daemon-smoke.bench-scratch.json" || {
     echo "scaler-daemon bench smoke FAILED (resilience gate or runtime error)"; exit 1;
   }
-  cmake --build "$ROOT/build-release" --target bench_forecaster_latency -j > /dev/null
+  cmake --build "$ROOT/build-release" --target bench_forecaster_latency -j"$(nproc)" > /dev/null
   "$ROOT/build-release/bench/bench_forecaster_latency" --smoke \
       --json="$ROOT/bench/out/forecaster-latency-smoke.bench-scratch.json" || {
     echo "forecaster-latency bench smoke FAILED (latency or parity gate)"; exit 1;
@@ -107,7 +107,7 @@ if [[ "${FEMUX_SANITIZE:-}" == "thread" ]]; then
       TSAN_TARGETS+=("${dir}_$(basename "$src" .cc)")
     done
   done
-  cmake --build "$ROOT/build-tsan" --target "${TSAN_TARGETS[@]}" -j > /dev/null
+  cmake --build "$ROOT/build-tsan" --target "${TSAN_TARGETS[@]}" -j"$(nproc)" > /dev/null
   # The one suppression is glibc's lgamma writing the global `signgam`
   # (scripts/tsan.supp explains why it is benign).
   export TSAN_OPTIONS="suppressions=$ROOT/scripts/tsan.supp${TSAN_OPTIONS:+ $TSAN_OPTIONS}"
@@ -134,7 +134,7 @@ if [[ "${FEMUX_SANITIZE:-}" == "address" ]]; then
       ASAN_TARGETS+=("${dir}_$(basename "$src" .cc)")
     done
   done
-  cmake --build "$ROOT/build-asan" --target "${ASAN_TARGETS[@]}" -j > /dev/null
+  cmake --build "$ROOT/build-asan" --target "${ASAN_TARGETS[@]}" -j"$(nproc)" > /dev/null
   for t in "${ASAN_TARGETS[@]}"; do
     echo "-- asan: $t"
     "$ROOT/build-asan/tests/$t" > /dev/null || {

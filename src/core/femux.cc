@@ -4,38 +4,40 @@
 #include <cstddef>
 
 namespace femux {
+namespace {
+
+// The longest history any forecaster in the model's set prefers. The
+// stream retains that much from the start, so a block switch to any of
+// them finds a full ring.
+std::size_t RingCapacity(const FemuxModel& model) {
+  std::size_t capacity = 0;
+  for (std::size_t i = 0; i < model.forecaster_names.size(); ++i) {
+    const std::unique_ptr<Forecaster> f = model.MakeForecaster(static_cast<int>(i));
+    if (f != nullptr) {
+      capacity = std::max(capacity, f->preferred_history());
+    }
+  }
+  return capacity;
+}
+
+}  // namespace
 
 FemuxPolicy::FemuxPolicy(std::shared_ptr<const FemuxModel> model,
                          double mean_execution_ms, double margin)
     : model_(std::move(model)),
       extractor_(model_->features, model_->feature_mode),
-      mean_execution_ms_(mean_execution_ms), margin_(margin) {
+      mean_execution_ms_(mean_execution_ms), margin_(margin),
+      stream_(kDefaultHistoryMinutes, RingCapacity(*model_)) {
   if (model_->feature_mode == FeatureMode::kExact) {
     block_buffer_.reserve(model_->block_minutes);
   }
   current_index_ = model_->default_forecaster;
   forecaster_ = model_->MakeForecaster(current_index_);
+  stream_.Bind(*forecaster_);
   if (!model_->margins.empty()) {
     selected_margin_ =
         model_->margins[static_cast<std::size_t>(model_->default_margin)];
   }
-  // Ring capacity: the largest effective window any forecaster in the set
-  // would use, so a block switch can warm-seed whichever forecaster the
-  // classifier picks next.
-  ring_capacity_ = kDefaultHistoryMinutes;
-  for (std::size_t i = 0; i < model_->forecaster_names.size(); ++i) {
-    const std::unique_ptr<Forecaster> f =
-        model_->MakeForecaster(static_cast<int>(i));
-    if (f != nullptr) {
-      ring_capacity_ = std::max(ring_capacity_, f->preferred_history());
-    }
-  }
-  series_ring_.reserve(2 * ring_capacity_);
-}
-
-std::span<const double> FemuxPolicy::RingWindow() const {
-  const std::size_t len = std::min(series_ring_.size(), ring_capacity_);
-  return std::span<const double>(series_ring_).last(len);
 }
 
 void FemuxPolicy::CompleteBlock() {
@@ -59,15 +61,11 @@ void FemuxPolicy::CompleteBlock() {
     forecaster_ = model_->MakeForecasterForCluster(selected.forecaster,
                                                    selected.cluster);
     ++switch_count_;
-    // Block-boundary warm handoff: seed the fresh forecaster's sliding
-    // window from the series ring, so it starts with the same history a
-    // cold batch re-seed would have read — but pays the O(window) cost here
-    // at the block boundary, once, instead of leaving the session invalid.
-    // (The fresh forecaster may reuse the old one's address, so the session
-    // must not trust pointer identity for stream continuity; SeedStreamed
-    // rebinds it explicitly.)
-    session_.SeedStreamed(*forecaster_, RingWindow(), observed_,
-                          kDefaultHistoryMinutes);
+    // Block-boundary warm handoff: Bind seeds the fresh forecaster's
+    // sliding window from the series ring, so it starts with the same
+    // history a cold re-seed would have read, and pays the O(window) cost
+    // here at the block boundary, once.
+    stream_.Bind(*forecaster_);
   }
   selected_margin_ = selected.margin;
   block_buffer_.clear();
@@ -80,15 +78,7 @@ double FemuxPolicy::TargetUnits(std::span<const double> demand_history) {
   // The simulator advances one epoch per call, so the newest history entry
   // is exactly one unseen sample — the only element the policy reads.
   const double newest = demand_history.back();
-  ++observed_;
-  series_ring_.push_back(newest);
-  if (series_ring_.size() > 2 * ring_capacity_) {
-    // Amortized-O(1) compaction: drop the stale front half. The session
-    // tracks contiguity on `observed_`, so this is invisible to it.
-    series_ring_.erase(series_ring_.begin(),
-                       series_ring_.end() -
-                           static_cast<std::ptrdiff_t>(ring_capacity_));
-  }
+  stream_.Append(newest);
   if (model_->feature_mode == FeatureMode::kSketch) {
     block_sketch_.Add(newest);
     if (++block_samples_ >= model_->block_minutes) {
@@ -100,9 +90,7 @@ double FemuxPolicy::TargetUnits(std::span<const double> demand_history) {
       CompleteBlock();
     }
   }
-  return session_.ForecastStreamed(*forecaster_, RingWindow(), observed_,
-                                   kDefaultHistoryMinutes) *
-         margin_ * selected_margin_;
+  return stream_.Forecast() * margin_ * selected_margin_;
 }
 
 std::unique_ptr<ScalingPolicy> FemuxPolicy::Clone() const {

@@ -1,12 +1,13 @@
 // FeMux online lifetime manager (§4.3, Fig. 10).
 //
 // One FemuxPolicy instance manages one application. Each scaling epoch it
-// receives the demand history, appends the newest sample to its block
-// buffer, and — when a block completes — asynchronously-equivalent work
-// happens inline: features are extracted, the pre-trained classifier picks
-// the forecaster for the next block, and forecasting switches over. Until
-// the first block completes, the model's default forecaster (lowest total
-// training RUM) is used.
+// receives the demand history, appends the newest sample to its
+// ForecastStream and its block buffer, and — when a block completes —
+// asynchronously-equivalent work happens inline: features are extracted,
+// the pre-trained classifier picks the forecaster for the next block, and
+// the stream binds it, seeding it from the ring. Until the first block
+// completes, the model's default forecaster (lowest total training RUM) is
+// used.
 #ifndef SRC_CORE_FEMUX_H_
 #define SRC_CORE_FEMUX_H_
 
@@ -44,9 +45,6 @@ class FemuxPolicy final : public ScalingPolicy {
 
  private:
   void CompleteBlock();
-  // The retained tail of the demand series (newest last), sized to the
-  // largest window any forecaster in the model's set wants.
-  std::span<const double> RingWindow() const;
 
   std::shared_ptr<const FemuxModel> model_;
   FeatureExtractor extractor_;
@@ -59,15 +57,10 @@ class FemuxPolicy final : public ScalingPolicy {
   BlockSketch block_sketch_;
   std::size_t block_samples_ = 0;  // Samples fed to the current sketch.
   std::unique_ptr<Forecaster> forecaster_;
-  IncrementalSession session_;
-  // Series ring: the policy keeps its own bounded copy of recent samples so
-  // (a) a fresh forecaster can be warm-seeded at a block switch and (b) the
-  // policy only ever reads history.back() — callers need not retain full
-  // histories. Stored as a growing vector compacted amortized-O(1); the
-  // session tracks contiguity on `observed_`, so compaction is invisible.
-  std::vector<double> series_ring_;
-  std::size_t ring_capacity_ = 0;
-  std::size_t observed_ = 0;  // Samples ever observed.
+  // The app's series ring and the current forecaster's incremental state.
+  // The ring is sized for the largest window in the model's set, so a
+  // block switch can warm-seed whichever forecaster the classifier picks.
+  ForecastStream stream_;
   int current_index_ = 0;
   double selected_margin_ = 1.0;
   int switch_count_ = 0;

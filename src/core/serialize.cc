@@ -428,8 +428,9 @@ bool ParseDaemonAppRecord(std::string_view body, DaemonAppCheckpoint* app) {
       !ParseField(fields[10], &ring_n)) {
     return false;
   }
+  // No writer keeps more samples than it observed.
   if ((has_epoch != 0 && has_epoch != 1) || (has_last_good != 0 && has_last_good != 1) ||
-      !std::isfinite(out.last_good) || ring_n > (1u << 26) ||
+      !std::isfinite(out.last_good) || ring_n > (1u << 26) || out.observed < ring_n ||
       (fields.size() != kFixed + ring_n && fields.size() != kFixed + ring_n + 1)) {
     return false;
   }
@@ -437,8 +438,9 @@ bool ParseDaemonAppRecord(std::string_view body, DaemonAppCheckpoint* app) {
   out.has_last_good = has_last_good == 1;
   out.ring.resize(ring_n);
   for (std::size_t i = 0; i < ring_n; ++i) {
+    // The samples a push would accept: finite and non-negative.
     if (!ParseDoubleField(fields[kFixed + i], &out.ring[i]) ||
-        !std::isfinite(out.ring[i])) {
+        !std::isfinite(out.ring[i]) || out.ring[i] < 0.0) {
       return false;
     }
   }

@@ -49,14 +49,17 @@ bool LoadBlockTableFile(const std::string& path, BlockTable* table);
 // observe a half-written file at the published path.
 
 // Per-app serving state sufficient to warm-resume: the retained series ring
-// plus the session/resilience bookkeeping. Forecaster-internal sliding
-// state is NOT persisted; restore re-seeds it from the ring
-// (IncrementalSession::SeedStreamed), which the incremental protocol
-// guarantees agrees with the uninterrupted state within the documented
-// parity bound. Learned forecasters additionally carry their trained
-// parameters as an opaque blob (Forecaster::SaveOpaqueState, DESIGN.md
-// §15) — those are NOT reconstructible from the ring, so the record
-// persists them; restore loads the blob before re-seeding.
+// and observed count of the app's ForecastStream plus the resilience
+// bookkeeping. Forecaster-internal sliding state is NOT persisted; restore
+// re-seeds it from the ring (ForecastStream::Restore), which the
+// incremental protocol guarantees agrees with the uninterrupted state
+// within the documented parity bound. The loader rejects, as a malformed
+// record, any ring sample a push would reject (non-finite or negative) and
+// an `observed` count smaller than the ring. Learned forecasters
+// additionally carry their trained parameters as an opaque blob
+// (Forecaster::SaveOpaqueState, DESIGN.md §15) — those are NOT
+// reconstructible from the ring, so the record persists them; restore
+// loads the blob before re-seeding.
 struct DaemonAppCheckpoint {
   std::string id;
   std::string forecaster;

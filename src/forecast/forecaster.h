@@ -9,6 +9,10 @@
 // constant values, very short windows), (2) return non-negative predictions,
 // and (3) be cheap — FeMux's design budget is single-digit milliseconds per
 // forecast (§5.2).
+//
+// Serving paths hold each app's series ring, observed count and forecaster
+// state in one ForecastStream (below), which drives the incremental
+// protocol and the batch fallback.
 #ifndef SRC_FORECAST_FORECASTER_H_
 #define SRC_FORECAST_FORECASTER_H_
 
@@ -58,15 +62,15 @@ class Forecaster {
   // reassociates sums). Opt in only when the state is cheaper than a sweep
   // of the window: SES and Holt do not (DESIGN.md §7).
   //
-  // Callers should drive the protocol through IncrementalSession below,
-  // which handles contiguity tracking and the batch fallback.
+  // Callers drive the protocol through ForecastStream below, which tracks
+  // how many samples arrived since the last call and falls back to batch.
 
   // True when ObserveAppend/ForecastNext are implemented.
   virtual bool SupportsIncremental() const { return false; }
 
   // Discards incremental state and re-seeds it from `history` (oldest
   // first; only the last `capacity` samples are kept). Called on first use
-  // and whenever the caller's history jumps non-contiguously.
+  // and whenever more than one sample arrived since the last call.
   virtual void BeginWindow(std::span<const double> history, std::size_t capacity) {
     (void)history;
     (void)capacity;
@@ -109,117 +113,91 @@ class Forecaster {
   }
 };
 
-// Typed error for the checked streamed-session entry points below. The
-// unchecked entry points silently re-seed on any history discontinuity —
-// correct for trusted simulator callers, but an online daemon ingesting
-// pushes from the network needs to *know* when a tenant's stream went bad
-// so it can count the fault and quarantine the app instead of serving a
-// forecast from garbage state.
-enum class StreamError {
-  kNone = 0,
-  // The window contains NaN/inf. No forecast is made and no session or
-  // forecaster state is touched.
-  kNonFiniteInput,
-  // `total_observed` went backwards for the stream this session is bound
-  // to (duplicate or out-of-order epoch accounting upstream). No forecast
-  // is made and no session or forecaster state is touched.
-  kCountRegressed,
-};
-
-const char* StreamErrorName(StreamError error);
-
-struct StreamedForecast {
-  double value = 0.0;
-  StreamError error = StreamError::kNone;
-  bool ok() const { return error == StreamError::kNone; }
-};
-
-// Drives a Forecaster through the incremental protocol with automatic
-// fallback. Each call receives the caller's full observed history; the
-// session windows it to the last `window_hint` samples (at least the
-// forecaster's preferred history, matching the batch call sites) and
-//  - feeds a one-sample delta when `history` extends the previously seen
-//    history by exactly one sample,
-//  - re-seeds the forecaster's window state when the history jumped
-//    (different length delta, different series, changed window), and
-//  - uses the batch Forecast() path for forecasters that don't implement
-//    the protocol.
-// One session drives one forecaster stream; reset with Invalidate() when
-// the underlying forecaster is replaced (pointer identity alone is not a
-// safe signal — a fresh forecaster may reuse a freed address).
-class IncrementalSession {
+// One application's forecasting state: its bounded series ring, the count
+// of samples observed so far and the incremental state of the forecaster
+// bound to it. Every serving path (FemuxPolicy, ForecasterPolicy,
+// RollingForecast, the daemon's per-app state) drives the incremental
+// protocol through this one class (DESIGN.md §7).
+//
+// The stream appends every sample itself, so it knows how many samples
+// arrived since the forecaster last advanced: exactly one is an
+// ObserveAppend, none replays the cached prediction, and more than one (or
+// any call after Reset) re-seeds the window with BeginWindow.
+// Batch forecasters (no protocol) reach Forecast() on every call, replays
+// included: SETAR counts calls to pace its refits.
+//
+// Exception rule: the record of the forecaster's state is cleared before
+// any call into the forecaster and set again only after the call returns,
+// so after a throw the next Forecast() re-seeds from the ring and equals
+// what a fresh stream would forecast at that count.
+//
+// The stream holds a non-owning pointer to the bound forecaster; its owner
+// keeps it alive and rebinds after replacing it.
+class ForecastStream {
  public:
-  double ForecastOne(Forecaster& forecaster, std::span<const double> history,
-                     std::size_t window_hint = kDefaultHistoryMinutes);
+  // A bound forecaster sees the last max(window_hint, its
+  // preferred_history()) samples, and Bind grows the ring to retain them.
+  // `min_capacity` retains more from the start: an owner that switches
+  // among several forecasters passes the largest window of the set, so a
+  // switch finds a full ring. Samples appended before the first Bind are
+  // retained up to max(window_hint, min_capacity).
+  explicit ForecastStream(std::size_t window_hint = kDefaultHistoryMinutes,
+                          std::size_t min_capacity = 0);
 
-  // Streamed variants for callers that keep a bounded ring of recent
-  // samples instead of the full history (FemuxPolicy's series ring). The
-  // caller passes its retained tail (`window`, oldest first — it must cover
-  // at least the last min(total_observed, effective window) samples) plus a
-  // monotone count of samples ever observed; contiguity is tracked on that
-  // count, so ring compaction is invisible. With `window` equal to the
-  // tail of the full history, ForecastStreamed(f, window, n) performs
-  // exactly the calls ForecastOne(f, full_history_of_size_n) would —
-  // bit-identical results.
-  double ForecastStreamed(Forecaster& forecaster, std::span<const double> window,
-                          std::size_t total_observed,
-                          std::size_t window_hint = kDefaultHistoryMinutes);
+  // Binds `forecaster` and seeds it from the ring at once (the warm
+  // handoff at a block switch).
+  void Bind(Forecaster& forecaster);
 
-  // Eagerly re-seeds `forecaster`'s sliding-window state from `window`
-  // (block-boundary warm handoff: the fresh forecaster inherits the ring
-  // instead of starting cold). The next ForecastStreamed call with the same
-  // `total_observed` recognizes the seeded state and forecasts from it
-  // without re-seeding. For forecasters without incremental support it only
-  // binds the stream (marking the session unseeded); they stay on the batch
-  // path.
-  void SeedStreamed(Forecaster& forecaster, std::span<const double> window,
-                    std::size_t total_observed,
-                    std::size_t window_hint = kDefaultHistoryMinutes);
+  // Records one newly observed sample.
+  void Append(double value);
 
-  // Total variants of the streamed entry points: every degenerate input is
-  // mapped to a StreamError instead of silently re-seeding (or, for
-  // non-finite values, poisoning forecaster state). A forward gap in
-  // `total_observed` (> +1) is NOT an error — the session re-seeds from the
-  // window exactly like the unchecked path, since a bounded ring caller can
-  // legitimately skip epochs. On any error the session and forecaster are
-  // left exactly as they were. The checks hold for batch-only forecasters
-  // too: every streamed call binds the stream, incremental or not.
-  StreamedForecast ForecastStreamedChecked(
-      Forecaster& forecaster, std::span<const double> window,
-      std::size_t total_observed, std::size_t window_hint = kDefaultHistoryMinutes);
-  StreamError SeedStreamedChecked(Forecaster& forecaster,
-                                  std::span<const double> window,
-                                  std::size_t total_observed,
-                                  std::size_t window_hint = kDefaultHistoryMinutes);
+  // Replaces the ring with as much of the end of `tail` as it retains and
+  // the count with `observed` (at least tail.size()), and re-seeds the
+  // bound forecaster from it at once. On restore, Bind (after
+  // LoadOpaqueState) comes first, so the ring is sized for the restored
+  // forecaster.
+  void Restore(std::span<const double> tail, std::size_t observed);
 
-  void Invalidate() {
-    bound_ = nullptr;
+  // For callers that hold the whole series: appends when `history` extends
+  // the stream by exactly one sample and the previous sample matches, and
+  // restores from its tail otherwise.
+  void Sync(std::span<const double> history);
+
+  // One-step forecast from the bound forecaster; requires Bind().
+  double Forecast();
+
+  // Forgets the forecaster's state (ring and count stay); the next
+  // Forecast() re-seeds from the ring.
+  void Reset() {
     seeded_ = false;
-    has_last_pred_ = false;
+    has_prediction_ = false;
   }
 
- private:
-  // Records the stream the last streamed call served, incremental or not.
-  void Bind(const Forecaster& forecaster, std::size_t window_len,
-            std::size_t total_observed);
-  // True when `total_observed` went backwards on the bound stream.
-  bool Regressed(const Forecaster& forecaster, std::size_t window_hint,
-                 std::size_t total_observed) const;
+  // The retained tail, oldest first: the last min(observed, capacity)
+  // samples.
+  std::span<const double> Window() const;
+  std::size_t observed() const { return observed_; }
 
-  // The bound stream: forecaster, effective window and the total samples
-  // observed at the last streamed call. Set by every streamed call, so the
-  // checked entry points see a count regression whatever the protocol.
-  const Forecaster* bound_ = nullptr;
-  std::size_t window_ = 0;
-  std::size_t last_size_ = 0;
-  double last_back_ = 0.0;
-  // Incremental window state seeded for the bound stream.
+ private:
+  // The bound forecaster's slice of Window().
+  std::span<const double> ForecasterWindow() const;
+  // Re-seeds the bound forecaster from the ring (exception rule above).
+  void Seed();
+
+  // Grows to 2 x capacity_, then drops its stale front half (amortized
+  // O(1), reserved by Bind, so appends after it never allocate).
+  std::vector<double> ring_;
+  std::size_t capacity_;
+  std::size_t window_hint_;
+  Forecaster* forecaster_ = nullptr;
+  std::size_t window_ = 0;  // Effective window of the bound forecaster.
+  std::size_t observed_ = 0;
+  // When seeded_, the forecaster's incremental state covers the first
+  // seen_ samples; has_prediction_ caches ForecastNext() at that count.
   bool seeded_ = false;
-  // Prediction cache for replayed epochs: ForecastNext() may advance
-  // forecaster-internal refit counters, so a repeat call at the same
-  // observed count returns the cached value instead of re-forecasting.
-  bool has_last_pred_ = false;
-  double last_pred_ = 0.0;
+  std::size_t seen_ = 0;
+  bool has_prediction_ = false;
+  double prediction_ = 0.0;
 };
 
 // Convenience: one-step forecast.

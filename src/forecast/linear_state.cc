@@ -291,7 +291,7 @@ bool LinearStateForecaster::LoadOpaqueState(std::string_view blob) {
   wx_ = wx;
   c_ = c;
   // Window state never travels in the blob; the caller re-seeds it from
-  // its retained ring via BeginWindow/SeedStreamed.
+  // its retained ring via BeginWindow (ForecastStream::Restore).
   std::fill(h_.begin(), h_.end(), 0.0);
   ring_.Reset({}, options_.window);
   slides_since_rebuild_ = 0;

@@ -47,7 +47,7 @@ class MovingAverageForecaster final : public Forecaster {
                                std::size_t horizon) override;
   std::unique_ptr<Forecaster> Clone() const override;
 
-  // Sessions window history to at least this; returning >= window_ keeps
+  // Streams window history to at least this; returning >= window_ keeps
   // the incremental ring seeded with every sample the batch scan would see.
   std::size_t preferred_history() const override {
     return std::max(kDefaultHistoryMinutes, window_);

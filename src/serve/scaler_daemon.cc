@@ -65,7 +65,6 @@ void AccumulateCounters(DaemonCounters* total, const DaemonCounters& part) {
   total->retries += part.retries;
   total->deadline_misses += part.deadline_misses;
   total->forecast_faults += part.forecast_faults;
-  total->stream_errors += part.stream_errors;
   total->quarantines += part.quarantines;
   total->half_open_probes += part.half_open_probes;
   total->quarantine_reopens += part.quarantine_reopens;
@@ -112,7 +111,6 @@ std::string DaemonCounters::ToJson() const {
       << ", \"quarantined_decisions\": " << quarantined_decisions
       << ", \"retries\": " << retries << ", \"deadline_misses\": " << deadline_misses
       << ", \"forecast_faults\": " << forecast_faults
-      << ", \"stream_errors\": " << stream_errors
       << ", \"quarantines\": " << quarantines
       << ", \"half_open_probes\": " << half_open_probes
       << ", \"quarantine_reopens\": " << quarantine_reopens
@@ -139,7 +137,6 @@ ScalerDaemon::ScalerDaemon(const ScalerDaemonOptions& options)
     throw std::invalid_argument("ScalerDaemon: unknown forecaster '" +
                                 options_.forecaster + "'");
   }
-  ring_capacity_ = std::max(options_.history_window, prototype_->preferred_history());
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -206,18 +203,6 @@ bool ScalerDaemon::Push(const MetricPush& push) {
   return accepted;
 }
 
-std::span<const double> ScalerDaemon::RingWindow(const AppState& state) const {
-  const std::size_t n = std::min(state.ring.size(), ring_capacity_);
-  return std::span<const double>(state.ring.data() + (state.ring.size() - n), n);
-}
-
-void ScalerDaemon::CompactRing(AppState& state) {
-  if (state.ring.size() > 2 * ring_capacity_) {
-    state.ring.erase(state.ring.begin(),
-                     state.ring.end() - static_cast<std::ptrdiff_t>(ring_capacity_));
-  }
-}
-
 const ScalerDaemon::AppState* ScalerDaemon::FindApp(const Shard& shard,
                                                     const std::string& app) {
   const auto it = shard.slots.find(app);
@@ -233,12 +218,13 @@ void ScalerDaemon::ApplyPush(Shard& shard, const MetricPush& push) {
   }
   auto [it, created] = shard.slots.try_emplace(push.app, shard.apps.size());
   if (created) {
-    shard.apps.emplace_back();
+    shard.apps.emplace_back(options_.history_window);
   }
   AppState& state = shard.apps[it->second];
   if (created) {
     state.id = push.app;
     state.forecaster = prototype_->Clone();
+    state.stream.Bind(*state.forecaster);
   }
   if (state.has_epoch && push.epoch <= state.last_epoch) {
     ++shard.counters.stale_or_duplicate;
@@ -249,10 +235,7 @@ void ScalerDaemon::ApplyPush(Shard& shard, const MetricPush& push) {
   }
   state.last_epoch = push.epoch;
   state.has_epoch = true;
-  state.ring.push_back(push.value);
-  ++state.observed;
-  ++state.health.observed;
-  CompactRing(state);
+  state.stream.Append(push.value);
 }
 
 void ScalerDaemon::DrainShard(Shard& shard) {
@@ -273,7 +256,7 @@ void ScalerDaemon::DrainShard(Shard& shard) {
 }
 
 double ScalerDaemon::MovingAverageTarget(const AppState& state) const {
-  const std::span<const double> window = RingWindow(state);
+  const std::span<const double> window = state.stream.Window();
   if (window.empty()) {
     return 0.0;
   }
@@ -347,16 +330,8 @@ Decision ScalerDaemon::DecideApp(Shard& shard, AppState& state, std::uint64_t ti
       if (injector_.enabled() && injector_.Fire(FaultSite::kForecastThrow, stream)) {
         throw std::runtime_error("injected forecast fault");
       }
-      const StreamedForecast forecast = state.session.ForecastStreamedChecked(
-          *state.forecaster, RingWindow(state), state.observed,
-          options_.history_window);
-      if (!forecast.ok()) {
-        ++shard.counters.stream_errors;
-        faulted = true;
-      } else {
-        value = forecast.value;
-        success = true;
-      }
+      value = state.stream.Forecast();
+      success = true;
     } catch (...) {
       // Anything the forecast path throws — injected or real — is a
       // per-app fault, never a tick-loop failure.
@@ -425,7 +400,7 @@ Decision ScalerDaemon::DecideApp(Shard& shard, AppState& state, std::uint64_t ti
       state.open_until = tick + window;
       ++state.reopen_count;
       state.consecutive_faults = 0;
-      state.session.Invalidate();
+      state.stream.Reset();
       ++shard.counters.quarantine_reopens;
     } else if (++state.consecutive_faults >= options_.quarantine_threshold) {
       state.breaker = AppState::Breaker::kOpen;
@@ -435,7 +410,7 @@ Decision ScalerDaemon::DecideApp(Shard& shard, AppState& state, std::uint64_t ti
       state.reopen_count = 0;
       // The forecaster's sliding state is suspect after repeated faults;
       // re-seed from the ring when the app comes back.
-      state.session.Invalidate();
+      state.stream.Reset();
       ++shard.counters.quarantines;
     }
   }
@@ -527,7 +502,7 @@ bool ScalerDaemon::CheckpointLocked() {
       DaemonAppCheckpoint app;
       app.id = id;
       app.forecaster = std::string(state.forecaster->name());
-      app.observed = state.observed;
+      app.observed = state.stream.observed();
       app.last_epoch = state.last_epoch;
       app.has_epoch = state.has_epoch;
       app.has_last_good = state.has_last_good;
@@ -540,7 +515,7 @@ bool ScalerDaemon::CheckpointLocked() {
       app.quarantined_until =
           state.breaker == AppState::Breaker::kOpen ? state.open_until : 0;
       app.consecutive_faults = state.consecutive_faults;
-      const std::span<const double> window = RingWindow(state);
+      const std::span<const double> window = state.stream.Window();
       app.ring.assign(window.begin(), window.end());
       // Learned forecasters persist their trained parameters (not
       // reconstructible from the ring, DESIGN.md §15); closed-form
@@ -593,24 +568,17 @@ std::size_t ScalerDaemon::RestoreFromCheckpoint() {
     if (!created) {
       continue;  // Live state wins over the snapshot.
     }
-    shard.apps.emplace_back();
+    shard.apps.emplace_back(options_.history_window);
     AppState& state = shard.apps[it->second];
     state.id = app.id;
     std::unique_ptr<Forecaster> forecaster = MakeForecasterByName(app.forecaster);
     state.forecaster = forecaster != nullptr ? std::move(forecaster)
                                              : prototype_->Clone();
-    state.ring = std::move(app.ring);
-    if (state.ring.size() > ring_capacity_) {
-      state.ring.erase(state.ring.begin(),
-                       state.ring.end() - static_cast<std::ptrdiff_t>(ring_capacity_));
-    }
-    state.observed = app.observed;
     state.last_epoch = app.last_epoch;
     state.has_epoch = app.has_epoch;
     state.last_good = app.last_good;
     state.has_last_good = app.has_last_good;
     state.consecutive_faults = app.consecutive_faults;
-    state.health.observed = state.observed;
     // Trained parameters load BEFORE the window re-seed so the seeded fold
     // runs under the restored weights — that ordering is what gives
     // kill-restart decision parity for learned forecasters (a failed load
@@ -618,10 +586,11 @@ std::size_t ScalerDaemon::RestoreFromCheckpoint() {
     if (!app.forecaster_state.empty() && state.forecaster->HasOpaqueState()) {
       state.forecaster->LoadOpaqueState(app.forecaster_state);
     }
-    // Warm-resume the forecaster from the persisted ring; the next
-    // ForecastStreamed recognizes the seeded state (DESIGN.md §11).
-    state.session.SeedStreamed(*state.forecaster, RingWindow(state), state.observed,
-                               options_.history_window);
+    // Warm-resume: Bind sizes the ring for the restored forecaster, Restore
+    // seeds it from the persisted ring, and the next Forecast() serves from
+    // that state (DESIGN.md §11).
+    state.stream.Bind(*state.forecaster);
+    state.stream.Restore(app.ring, app.observed);
     if (app.quarantined_until > tick_count()) {
       // An open breaker restores open with its persisted deadline; the
       // half-open probe machinery then takes over lazily on the decision
@@ -695,6 +664,7 @@ ScalerDaemon::AppHealth ScalerDaemon::GetAppHealth(const std::string& app) const
   }
   AppHealth health = state->health;
   health.known = true;
+  health.observed = state->stream.observed();
   // Half-open is "recovering", not quarantined: probes are already being
   // served from the real forecaster.
   health.quarantined = state->breaker == AppState::Breaker::kOpen &&

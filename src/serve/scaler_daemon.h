@@ -5,9 +5,10 @@
 // bounded per-shard queues (backpressure = drop + count, never block or
 // grow unbounded), and a timer wheel drives the 2 s autoscaler tick that
 // drains the queues and produces one scaling decision per app. Per-app
-// serving state is the same IncrementalSession + bounded series ring the
-// simulator uses (DESIGN.md §7/§11), sharded by app-id hash so tick work
-// parallelizes over shards on the process thread pool.
+// serving state is the same ForecastStream (series ring, observed count,
+// forecaster state) the simulator's policies use (DESIGN.md §7/§11),
+// sharded by app-id hash so tick work parallelizes over shards on the
+// process thread pool.
 //
 // Robustness is structural, not bolted on:
 //  - Every per-app decision runs under a deadline with a degradation
@@ -27,7 +28,8 @@
 //  - Malformed ingestion (non-finite/negative values, duplicate or
 //    out-of-order epochs) is rejected per push with typed accounting; a
 //    forward epoch gap is accepted (the ring just misses samples) and
-//    counted.
+//    counted. The checkpoint loader applies the same sample checks, so
+//    the stream only ever holds samples a push could have delivered.
 //  - Crash safety: the daemon periodically checkpoints every app's ring +
 //    resilience bookkeeping through src/core/serialize's torn-write-proof
 //    record format (atomic tmp + rename), and a restarted daemon
@@ -142,8 +144,7 @@ struct DaemonCounters {
   std::uint64_t quarantined_decisions = 0;
   std::uint64_t retries = 0;
   std::uint64_t deadline_misses = 0;
-  std::uint64_t forecast_faults = 0;   // Thrown/typed-error forecast attempts.
-  std::uint64_t stream_errors = 0;     // Typed session errors specifically.
+  std::uint64_t forecast_faults = 0;   // Forecast attempts that threw.
   std::uint64_t quarantines = 0;       // Breaker-open entries (from closed).
   std::uint64_t half_open_probes = 0;  // Single-attempt half-open decisions.
   std::uint64_t quarantine_reopens = 0;   // Failed probes re-arming the breaker.
@@ -232,7 +233,7 @@ class ScalerDaemon {
     std::uint64_t degraded_last_good = 0;
     std::uint64_t degraded_moving_avg = 0;
     std::uint64_t faults = 0;
-    std::uint64_t observed = 0;
+    std::uint64_t observed = 0;  // Samples the app's stream has observed.
   };
   AppHealth GetAppHealth(const std::string& app) const;
 
@@ -248,11 +249,11 @@ class ScalerDaemon {
     // close it (a failed probe re-opens with exponential backoff).
     enum class Breaker : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
+    explicit AppState(std::size_t window_hint) : stream(window_hint) {}
+
     std::string id;
     std::unique_ptr<Forecaster> forecaster;
-    IncrementalSession session;
-    std::vector<double> ring;  // Compacted amortized-O(1); tail is current.
-    std::size_t observed = 0;
+    ForecastStream stream;
     std::uint64_t last_epoch = 0;
     bool has_epoch = false;
     double last_good = 0.0;
@@ -263,7 +264,7 @@ class ScalerDaemon {
     std::uint32_t probe_successes = 0;  // Consecutive clean half-open probes.
     std::uint32_t reopen_count = 0;     // Failed probes; backoff exponent.
     double last_target = 0.0;
-    AppHealth health;  // known/quarantined filled on read.
+    AppHealth health;  // known/quarantined/observed filled on read.
   };
 
   struct Shard {
@@ -293,13 +294,10 @@ class ScalerDaemon {
   void ApplyPush(Shard& shard, const MetricPush& push);
   Decision DecideApp(Shard& shard, AppState& state, std::uint64_t tick);
   double MovingAverageTarget(const AppState& state) const;
-  std::span<const double> RingWindow(const AppState& state) const;
-  void CompactRing(AppState& state);
   bool CheckpointLocked();
 
   ScalerDaemonOptions options_;
   std::unique_ptr<Forecaster> prototype_;
-  std::size_t ring_capacity_ = 0;
   FaultInjector injector_;
   std::vector<std::unique_ptr<Shard>> shards_;
   TimerWheel wheel_;

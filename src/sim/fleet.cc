@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <utility>
 
 #include "src/sim/fleet_stream.h"
 #include "src/trace/stream.h"
@@ -102,107 +100,9 @@ void ArrivalSeriesInto(const AppTrace& app, double epoch_seconds,
   }
 }
 
-namespace {
-
-// Resident weight of one cache entry: both series' payloads plus fixed
-// bookkeeping overhead (map node, list node, control blocks).
-std::size_t SeriesWeight(const SeriesCache::Series& series) {
-  constexpr std::size_t kOverheadBytes = 192;
-  const std::size_t doubles =
-      (series.demand ? series.demand->size() : 0) +
-      (series.arrivals ? series.arrivals->size() : 0);
-  return doubles * sizeof(double) + kOverheadBytes;
-}
-
-}  // namespace
-
-SeriesCache::SeriesCache() {
-  if (const char* env = std::getenv("FEMUX_SERIES_CACHE_MB")) {
-    const long mb = std::strtol(env, nullptr, 10);
-    if (mb > 0) {
-      budget_ = static_cast<std::size_t>(mb) * (1u << 20);
-    }
-  }
-}
-
-SeriesCache::Series SeriesCache::GetOrCompute(const AppTrace& app, int app_index,
-                                              double epoch_seconds) {
-  const Key key{app_index, std::llround(epoch_seconds * 1000.0)};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++hits_;
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.series;
-    }
-    // A miss per computing caller: racing first callers each pay the
-    // computation below, so the counter reflects work actually done.
-    ++misses_;
-  }
-  // Compute outside the lock; concurrent first callers may duplicate the
-  // work, but the first insert wins and all callers share one copy.
-  Series series;
-  series.demand =
-      std::make_shared<const std::vector<double>>(DemandSeries(app, epoch_seconds));
-  series.arrivals =
-      std::make_shared<const std::vector<double>>(ArrivalSeries(app, epoch_seconds));
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return it->second.series;
-  }
-  lru_.push_front(key);
-  const std::size_t weight = SeriesWeight(series);
-  entries_.emplace(key, Entry{series, lru_.begin(), weight});
-  weight_ += weight;
-  while (weight_ > budget_ && entries_.size() > 1) {
-    const Key victim = lru_.back();
-    if (victim == key) {
-      break;  // Never evict the entry just requested.
-    }
-    const auto vit = entries_.find(victim);
-    weight_ -= vit->second.weight;
-    entries_.erase(vit);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  return series;
-}
-
-std::size_t SeriesCache::SetBudget(std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::exchange(budget_, bytes);
-}
-
-void SeriesCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  evictions_ += entries_.size();
-  entries_.clear();
-  lru_.clear();
-  weight_ = 0;
-}
-
-std::size_t SeriesCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-SeriesCache::Stats SeriesCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats stats;
-  stats.hits = hits_;
-  stats.misses = misses_;
-  stats.evictions = evictions_;
-  stats.entries = entries_.size();
-  stats.bytes = weight_;
-  return stats;
-}
-
 FleetResult SimulateFleet(const Dataset& dataset, const PolicyFactory& factory,
                           SimOptions options, bool respect_app_min_scale,
-                          std::size_t threads, SeriesCache* series_cache) {
+                          std::size_t threads) {
   FleetResult result;
   result.per_app.resize(dataset.apps.size());
   FleetStreamOptions stream;
@@ -212,7 +112,6 @@ FleetResult SimulateFleet(const Dataset& dataset, const PolicyFactory& factory,
   stream.chunk_apps = 0;  // About four chunks per participant.
   // Resident rows cost nothing to hold, so admission is never throttled.
   stream.max_pending_chunks = std::max<std::size_t>(1, dataset.apps.size());
-  stream.series_cache = series_cache;
   stream.per_app_sink = [&result](std::size_t i, const SimMetrics& row) {
     result.per_app[i] = row;
   };
@@ -222,10 +121,10 @@ FleetResult SimulateFleet(const Dataset& dataset, const PolicyFactory& factory,
 
 FleetResult SimulateFleetUniform(const Dataset& dataset, const ScalingPolicy& prototype,
                                  const SimOptions& options, bool respect_app_min_scale,
-                                 std::size_t threads, SeriesCache* series_cache) {
+                                 std::size_t threads) {
   return SimulateFleet(
       dataset, [&prototype](int) { return prototype.Clone(); }, options,
-      respect_app_min_scale, threads, series_cache);
+      respect_app_min_scale, threads);
 }
 
 }  // namespace femux

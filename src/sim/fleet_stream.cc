@@ -18,12 +18,12 @@ struct ChunkMetrics {
   std::uint64_t epochs = 0;
 };
 
-// Per-worker reusable buffers for the no-cache path: the regenerated trace,
-// the series-expansion scratch, and the expanded demand/arrival series all
-// live in one thread-local arena, so once each buffer reaches the fleet's
-// steady-state size a worker simulates apps with no heap allocation beyond
-// the per-app policy clone and metrics row (verified by the allocation
-// hook in bench_fleet_scale).
+// Per-worker reusable buffers: the regenerated trace, the series-expansion
+// scratch, and the expanded demand/arrival series all live in one
+// thread-local arena, so once each buffer reaches the fleet's steady-state
+// size a worker simulates apps with no heap allocation beyond the per-app
+// policy clone and metrics row (verified by the allocation hook in
+// bench_fleet_scale).
 struct ChunkArena {
   AppTrace app;
   SeriesWorkspace series_workspace;
@@ -69,25 +69,12 @@ FleetStreamResult SimulateFleetStream(const TraceSource& source,
               app.consumed_memory_mb > 0.0 ? app.consumed_memory_mb / 1024.0
                                            : options.sim.memory_gb_per_unit;
           std::unique_ptr<ScalingPolicy> policy = factory(static_cast<int>(i));
-          if (options.series_cache != nullptr) {
-            // Multi-pass callers share series through the cache; shared
-            // ownership keeps evicted series valid for concurrent holders.
-            SeriesCache::Series series = options.series_cache->GetOrCompute(
-                app, static_cast<int>(i), app_options.epoch_seconds);
-            chunk.per_app.push_back(
-                SimulateApp(*series.demand, *series.arrivals, *policy,
-                            app_options));
-            chunk.epochs += series.demand->size();
-          } else {
-            // Single-pass: expand into the worker's arena and simulate from
-            // it directly — no shared_ptr, no per-app series allocation.
-            DemandSeriesInto(app, app_options.epoch_seconds,
-                             &arena.series_workspace, &arena.demand);
-            ArrivalSeriesInto(app, app_options.epoch_seconds, &arena.arrivals);
-            chunk.per_app.push_back(
-                SimulateApp(arena.demand, arena.arrivals, *policy, app_options));
-            chunk.epochs += arena.demand.size();
-          }
+          DemandSeriesInto(app, app_options.epoch_seconds,
+                           &arena.series_workspace, &arena.demand);
+          ArrivalSeriesInto(app, app_options.epoch_seconds, &arena.arrivals);
+          chunk.per_app.push_back(
+              SimulateApp(arena.demand, arena.arrivals, *policy, app_options));
+          chunk.epochs += arena.demand.size();
         }
         return chunk;
       },

@@ -3,11 +3,13 @@
 // (fleet.h) is an adapter that runs it over a resident dataset.
 //
 // SimulateFleetStream pulls apps lazily from a TraceSource in contiguous
-// index chunks: each worker generates a chunk's traces, expands its series,
-// simulates it, and hands a small vector of per-app metrics to an ordered
-// fold that accumulates the fleet total in strict app-index order before
-// the chunk is discarded. Peak residency is O(threads x chunk) regardless
-// of fleet size.
+// index chunks: each worker generates a chunk's traces, expands its series
+// into a per-worker arena, simulates it, and hands a small vector of
+// per-app metrics to an ordered fold that accumulates the fleet total in
+// strict app-index order before the chunk is discarded. Series are never
+// kept across apps or calls: a sweep that visits the fleet twice expands
+// each app twice, which costs far less than simulating it. Peak residency
+// is O(threads x chunk) regardless of fleet size.
 //
 // Determinism contract: per-app metrics depend only on (source, factory,
 // options), and the total is folded in app-index order, so for any thread
@@ -40,14 +42,6 @@ struct FleetStreamOptions {
   // chunk stalls the frontier — without it, held-back results scale with
   // thread-count skew instead of with the configured chunk size.
   std::size_t max_pending_chunks = 0;
-  // Optional bounded series cache. Useful when the same source is swept
-  // MORE THAN ONCE (training pass + simulation pass, or several policies
-  // over one fleet): the second consumer hits series the first computed.
-  // A single-pass sweep visits each (app, epoch) key exactly once, so every
-  // lookup misses by construction — single-pass callers should pass null
-  // and take the zero-allocation arena path instead (DESIGN.md §14;
-  // pinned in tests/sim/fleet_stream_test.cc).
-  SeriesCache* series_cache = nullptr;
   // Optional observer invoked once per app in strict app-index order — the
   // streaming replacement for FleetResult::per_app. Runs under the fold
   // lock; keep it cheap.

@@ -54,7 +54,7 @@ class ForecasterPolicy final : public ScalingPolicy {
 
  private:
   std::unique_ptr<Forecaster> forecaster_;
-  IncrementalSession session_;
+  ForecastStream stream_;
   double margin_;
   std::size_t history_len_;
   bool reactive_floor_;

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -197,6 +198,48 @@ TEST(CheckpointPropertyTest, FileTruncateHookPublishesLoadablePrefix) {
     ExpectAppEq(loaded.apps[i], original.apps[i], i);
   }
   std::remove(path.c_str());
+}
+
+// The loader rejects, as a malformed record, any ring sample a push would
+// reject (non-finite or negative) and an `observed` count below the ring
+// length, which no writer produces. The writer frames the bad record with
+// a valid checksum, so only these checks stop the load there, and the
+// records before it still load.
+TEST(CheckpointPropertyTest, RejectsRingsAPushWouldReject) {
+  const DaemonCheckpoint fixture = MakeFixture();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* label;
+    double sample;
+    std::uint64_t observed;
+    bool valid;
+  } cases[] = {
+      {"control", 2.5, 3, true},
+      {"zero", -0.0, 3, true},
+      {"nan", std::numeric_limits<double>::quiet_NaN(), 3, false},
+      {"inf", inf, 3, false},
+      {"-inf", -inf, 3, false},
+      {"negative", -0.5, 3, false},
+      {"observed_below_ring", 2.5, 2, false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.label);
+    DaemonCheckpoint checkpoint;
+    checkpoint.tick = fixture.tick;
+    checkpoint.apps = {fixture.apps[0], fixture.apps[1], fixture.apps[2]};
+    DaemonAppCheckpoint& record = checkpoint.apps[1];
+    record.ring = {1.0, c.sample, 3.0};
+    record.observed = c.observed;
+    std::ostringstream out;
+    SaveDaemonCheckpoint(checkpoint, out);
+    std::istringstream in(out.str());
+    DaemonCheckpoint loaded;
+    EXPECT_EQ(LoadDaemonCheckpoint(in, &loaded), c.valid);
+    ASSERT_EQ(loaded.apps.size(), c.valid ? 3u : 1u);
+    for (std::size_t i = 0; i < loaded.apps.size(); ++i) {
+      ExpectAppEq(loaded.apps[i], checkpoint.apps[i], i);
+    }
+  }
 }
 
 // FNV-1a-64 as 16 lowercase hex digits: the record checksum, rebuilt here

@@ -1,5 +1,5 @@
 // Parity tests for the incremental sliding-window protocol (DESIGN.md §7):
-// driving a forecaster through IncrementalSession must agree with the
+// driving a forecaster through ForecastStream must agree with the
 // pre-existing batch path (a fresh forecaster refit on every windowed
 // prefix) within each forecaster's documented bound — bit-identical for
 // the batch fallbacks (SES and Holt included), <= 1e-9 scale-relative
@@ -139,7 +139,7 @@ TEST(IncrementalParityTest, ArRefitEveryCall) {
   CheckParity(ArForecaster(10, 1), 1e-9);
 }
 
-// SES and Holt have no incremental protocol: the session serves them
+// SES and Holt have no incremental protocol: the stream serves them
 // through the one batch path, so the bound is exact equality.
 TEST(IncrementalParityTest, ExponentialSmoothing) {
   CheckParity(ExponentialSmoothingForecaster(), 0.0);
@@ -183,22 +183,25 @@ TEST(IncrementalParityTest, FftGrowthPhaseBitExact) {
 }
 
 TEST(IncrementalParityTest, MidSeriesWindowJump) {
-  // A session whose history jumps (here: restarting the stream mid-way)
-  // must re-seed and still match the batch path on the new stream.
+  // A stream whose synced history jumps (here: restarting the series
+  // mid-way) must re-seed and still match the batch path on the new stream.
   const auto series = RandomSeries(300, 99);
   ArForecaster forecaster(10, 5);
-  IncrementalSession session;
+  const std::size_t window = 120;
+  ForecastStream stream(window);
+  stream.Bind(forecaster);
   // Feed a contiguous prefix...
   for (std::size_t t = 10; t < 150; ++t) {
-    session.ForecastOne(forecaster, std::span<const double>(series).subspan(0, t), 120);
+    stream.Sync(std::span<const double>(series).subspan(0, t));
+    stream.Forecast();
   }
   // ...then jump backwards to a shorter prefix: non-contiguous, so the
-  // session reseeds. From there on it must agree with batch again.
+  // stream restores and reseeds. From there on it must agree with batch.
   ArForecaster batch_ref(10, 5);
-  const std::size_t window = 120;
   for (std::size_t t = 50; t < 300; ++t) {
     const std::span<const double> history = std::span<const double>(series).subspan(0, t);
-    const double inc = session.ForecastOne(forecaster, history, window);
+    stream.Sync(history);
+    const double inc = stream.Forecast();
     const std::span<const double> windowed =
         history.size() > window ? history.last(window) : history;
     const auto batch = batch_ref.Forecast(windowed, 1);

@@ -187,25 +187,28 @@ TEST(LinearStateTest, RestoredStatePlusReseedMatchesContinuousDecisions) {
   // bound.
   const auto series = BurstySeries(400, 19);
   LinearStateForecaster continuous;
-  IncrementalSession continuous_session;
+  ForecastStream continuous_stream(120);
+  continuous_stream.Bind(continuous);
   const std::size_t cut = 250;
   for (std::size_t t = 10; t < cut; ++t) {
-    continuous_session.ForecastStreamed(
-        continuous, std::span<const double>(series).subspan(0, t), t, 120);
+    continuous_stream.Sync(std::span<const double>(series).subspan(0, t));
+    continuous_stream.Forecast();
   }
   // "Crash": serialize trained state, keep only the last 120 samples.
   const std::string blob = continuous.SaveOpaqueState();
   LinearStateForecaster restored;
   ASSERT_TRUE(restored.LoadOpaqueState(blob));
-  IncrementalSession restored_session;
-  restored_session.SeedStreamed(
-      restored, std::span<const double>(series).subspan(cut - 1 - 120, 120),
-      cut - 1, 120);
+  // The daemon's restore order: Bind sizes the ring, Restore re-seeds.
+  ForecastStream restored_stream(120);
+  restored_stream.Bind(restored);
+  restored_stream.Restore(std::span<const double>(series).subspan(cut - 1 - 120, 120),
+                          cut - 1);
   for (std::size_t t = cut; t < series.size(); ++t) {
     const auto history = std::span<const double>(series).subspan(0, t);
-    const double a = continuous_session.ForecastStreamed(continuous, history, t, 120);
-    const double b = restored_session.ForecastStreamed(
-        restored, history.last(std::min<std::size_t>(t, 120)), t, 120);
+    continuous_stream.Sync(history);
+    restored_stream.Append(history.back());
+    const double a = continuous_stream.Forecast();
+    const double b = restored_stream.Forecast();
     const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
     EXPECT_LE(std::fabs(a - b) / scale, 1e-7) << "t=" << t;
   }

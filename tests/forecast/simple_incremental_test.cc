@@ -107,9 +107,9 @@ TEST(SimpleIncrementalTest, ShortHistoryAndRingWrap) {
 }
 
 TEST(SimpleIncrementalTest, BeginWindowReseedsMidSeries) {
-  // A serving session can re-anchor mid-stream (checkpoint restore,
-  // session invalidation): BeginWindow on a later prefix must leave the
-  // ring in the same state as a fresh session started there.
+  // A serving stream can re-anchor mid-series (checkpoint restore,
+  // Reset): BeginWindow on a later prefix must leave the ring in the same
+  // state as a fresh stream started there.
   const std::vector<double> series = BurstySeries(300, 5);
   MovingAverageForecaster continued(3);
   const std::span<const double> all(series);

@@ -1,11 +1,9 @@
-// Ring-driven streamed session + block-boundary warm handoff parity
+// Ring-driven ForecastStream + block-boundary warm handoff parity
 // (DESIGN.md §11), mirroring the incremental-parity tests: a caller that
-// retains only a bounded ring of recent samples (FemuxPolicy's series
-// ring) and drives IncrementalSession::ForecastStreamed / SeedStreamed
-// must agree with the full-history batch path — bit-identical to
-// ForecastOne on the same stream, and within the documented 1e-9
-// scale-relative bound of a fresh batch refit per prefix, including
-// across a mid-stream forecaster switch (the warm handoff).
+// appends one sample at a time (FemuxPolicy, the daemon) must agree bit
+// for bit with one that syncs the full history each epoch
+// (ForecasterPolicy), including across a mid-stream forecaster switch
+// through Bind (the warm handoff).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,65 +46,65 @@ std::vector<double> RandomSeries(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-// FemuxPolicy-style bounded ring: append-only vector compacted amortized
-// O(1), exposing the retained tail.
-class SeriesRing {
- public:
-  explicit SeriesRing(std::size_t capacity) : capacity_(capacity) {}
-
-  void Push(double v) {
-    ring_.push_back(v);
-    ++observed_;
-    if (ring_.size() > 2 * capacity_) {
-      ring_.erase(ring_.begin(),
-                  ring_.end() - static_cast<std::ptrdiff_t>(capacity_));
-    }
-  }
-
-  std::span<const double> Window() const {
-    const std::size_t len = std::min(ring_.size(), capacity_);
-    return std::span<const double>(ring_).last(len);
-  }
-
-  std::size_t observed() const { return observed_; }
-
- private:
-  std::size_t capacity_;
-  std::vector<double> ring_;
-  std::size_t observed_ = 0;
-};
-
 constexpr std::size_t kWindow = 120;
 
-// Full-history reference: ForecastOne over every prefix, the path the
-// incremental-parity tests already pin against batch refits.
+// The effective window the stream gives `forecaster`.
+std::size_t EffectiveWindow(const Forecaster& forecaster) {
+  return std::max(kWindow, forecaster.preferred_history());
+}
+
+// Full-history reference: Sync on every prefix, the path ForecasterPolicy
+// takes and the incremental-parity tests pin against batch refits.
 std::vector<double> FullHistoryRolling(const Forecaster& prototype,
                                        std::span<const double> series) {
   const std::unique_ptr<Forecaster> forecaster = prototype.Clone();
-  IncrementalSession session;
+  ForecastStream stream(kWindow);
+  stream.Bind(*forecaster);
   std::vector<double> out;
   out.reserve(series.size());
   for (std::size_t t = 1; t <= series.size(); ++t) {
-    out.push_back(
-        session.ForecastOne(*forecaster, series.subspan(0, t), kWindow));
+    stream.Sync(series.subspan(0, t));
+    out.push_back(stream.Forecast());
   }
   return out;
 }
 
-// Ring-driven path: only the compacted tail is retained; contiguity is
-// carried by the observed count.
+// Ring-driven path: the stream sees one sample at a time and retains only
+// its bounded ring.
 std::vector<double> RingRolling(const Forecaster& prototype,
-                                std::span<const double> series,
-                                std::size_t ring_capacity) {
+                                std::span<const double> series) {
   const std::unique_ptr<Forecaster> forecaster = prototype.Clone();
-  IncrementalSession session;
-  SeriesRing ring(ring_capacity);
+  ForecastStream stream(kWindow);
+  stream.Bind(*forecaster);
   std::vector<double> out;
   out.reserve(series.size());
   for (double v : series) {
-    ring.Push(v);
-    out.push_back(session.ForecastStreamed(*forecaster, ring.Window(),
-                                           ring.observed(), kWindow));
+    stream.Append(v);
+    out.push_back(stream.Forecast());
+  }
+  return out;
+}
+
+// The protocol driven by hand: one BeginWindow, then one ObserveAppend and
+// one ForecastNext per sample; batch forecasters get the windowed prefix.
+// This is the call sequence both stream paths above must reproduce.
+std::vector<double> ProtocolRolling(const Forecaster& prototype,
+                                    std::span<const double> series) {
+  const std::unique_ptr<Forecaster> forecaster = prototype.Clone();
+  const std::size_t window = EffectiveWindow(*forecaster);
+  std::vector<double> out;
+  out.reserve(series.size());
+  for (std::size_t t = 1; t <= series.size(); ++t) {
+    if (!forecaster->SupportsIncremental()) {
+      out.push_back(ForecastOne(*forecaster, series.first(t).last(std::min(t, window))));
+      continue;
+    }
+    if (t == 1) {
+      forecaster->BeginWindow(series.first(1), window);
+    } else {
+      forecaster->ObserveAppend(series[t - 1]);
+    }
+    out.push_back(forecaster->ForecastNext());
   }
   return out;
 }
@@ -122,7 +120,7 @@ void ExpectBitEqualSeries(const std::vector<double>& a,
 }
 
 // The ring must be invisible: as long as the retained tail covers the
-// effective window, the streamed call sequence is exactly the full-history
+// effective window, the appended call sequence is exactly the synced
 // call sequence, so results are bit-identical (not merely close).
 TEST(StreamedSessionTest, RingDrivingIsBitIdenticalToFullHistory) {
   const auto series = RandomSeries(700, 42);
@@ -137,10 +135,9 @@ TEST(StreamedSessionTest, RingDrivingIsBitIdenticalToFullHistory) {
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.label);
-    const std::size_t capacity =
-        std::max(kWindow, c.prototype->preferred_history());
-    ExpectBitEqualSeries(FullHistoryRolling(*c.prototype, series),
-                         RingRolling(*c.prototype, series, capacity));
+    const std::vector<double> reference = ProtocolRolling(*c.prototype, series);
+    ExpectBitEqualSeries(reference, FullHistoryRolling(*c.prototype, series));
+    ExpectBitEqualSeries(reference, RingRolling(*c.prototype, series));
   }
 }
 
@@ -166,51 +163,48 @@ TEST(StreamedSessionTest, BatchFallbackMatchesWindowedForecast) {
   };
   const auto series = RandomSeries(400, 11);
   const PlainMean prototype;
-  ExpectBitEqualSeries(FullHistoryRolling(prototype, series),
-                       RingRolling(prototype, series, kWindow));
+  const std::vector<double> reference = ProtocolRolling(prototype, series);
+  ExpectBitEqualSeries(reference, FullHistoryRolling(prototype, series));
+  ExpectBitEqualSeries(reference, RingRolling(prototype, series));
 }
 
 // Warm handoff: switch forecasters mid-stream, seeding the newcomer from
 // the ring (exactly what FemuxPolicy::CompleteBlock does). After the seed,
-// the newcomer must track a reference session that was fed the full
-// history from the switch point on — bit-identical, because SeedStreamed
-// performs the same BeginWindow a cold re-seed at that prefix would.
+// the newcomer must track a reference stream that was fed the full
+// history from the switch point on — bit-identical, because Bind performs
+// the same BeginWindow a cold re-seed at that prefix would.
 TEST(StreamedSessionTest, WarmHandoffMatchesColdReseedAtSwitchPoint) {
   const auto all = RandomSeries(600, 7);
   const std::span<const double> series(all);
   constexpr std::size_t kSwitchAt = 371;  // Mid-stream, window already full.
 
-  // Streamed path: forecaster A until the switch, then seed B from the ring
-  // and continue streaming with B.
+  // Streamed path: forecaster A until the switch, then bind B (seeding it
+  // from the ring) and continue streaming with B.
   ArForecaster a(10, 5);
-  HoltForecaster b;
-  const std::size_t capacity =
-      std::max({kWindow, a.preferred_history(), b.preferred_history()});
-  IncrementalSession session;
-  SeriesRing ring(capacity);
+  ArForecaster b(6, 3);
+  // Sized for both, as FemuxPolicy sizes its ring for the model's set.
+  ForecastStream stream(kWindow, std::max(a.preferred_history(), b.preferred_history()));
+  stream.Bind(a);
   std::vector<double> streamed;
   int switches = 0;
   for (std::size_t t = 0; t < series.size(); ++t) {
-    ring.Push(series[t]);
+    stream.Append(series[t]);
     if (t + 1 == kSwitchAt) {
-      session.SeedStreamed(b, ring.Window(), ring.observed(), kWindow);
+      stream.Bind(b);
       ++switches;
     }
-    Forecaster& active = (t + 1 >= kSwitchAt) ? static_cast<Forecaster&>(b)
-                                              : static_cast<Forecaster&>(a);
-    streamed.push_back(session.ForecastStreamed(active, ring.Window(),
-                                                ring.observed(), kWindow));
+    streamed.push_back(stream.Forecast());
   }
   ASSERT_GE(switches, 1);
 
-  // Reference: a fresh B driven through ForecastOne on full-history
-  // prefixes starting at the switch point (a cold re-seed would begin the
-  // same way).
-  HoltForecaster b_ref;
-  IncrementalSession ref_session;
+  // Reference: a fresh B synced on full-history prefixes starting at the
+  // switch point (a cold re-seed would begin the same way).
+  ArForecaster b_ref(6, 3);
+  ForecastStream ref_stream(kWindow);
+  ref_stream.Bind(b_ref);
   for (std::size_t t = kSwitchAt; t <= series.size(); ++t) {
-    const double ref =
-        ref_session.ForecastOne(b_ref, series.subspan(0, t), kWindow);
+    ref_stream.Sync(series.subspan(0, t));
+    const double ref = ref_stream.Forecast();
     EXPECT_EQ(std::bit_cast<std::uint64_t>(ref),
               std::bit_cast<std::uint64_t>(streamed[t - 1]))
         << "t=" << t << " ref=" << ref << " streamed=" << streamed[t - 1];
@@ -223,14 +217,12 @@ TEST(StreamedSessionTest, WarmHandoffMatchesColdReseedAtSwitchPoint) {
 TEST(StreamedSessionTest, ReplayAtSameCountIsStable) {
   const auto series = RandomSeries(300, 23);
   ArForecaster forecaster(10, 5);
-  IncrementalSession session;
-  SeriesRing ring(std::max(kWindow, forecaster.preferred_history()));
+  ForecastStream stream(kWindow);
+  stream.Bind(forecaster);
   for (double v : series) {
-    ring.Push(v);
-    const double first = session.ForecastStreamed(forecaster, ring.Window(),
-                                                  ring.observed(), kWindow);
-    const double replay = session.ForecastStreamed(forecaster, ring.Window(),
-                                                   ring.observed(), kWindow);
+    stream.Append(v);
+    const double first = stream.Forecast();
+    const double replay = stream.Forecast();
     EXPECT_EQ(std::bit_cast<std::uint64_t>(first),
               std::bit_cast<std::uint64_t>(replay));
   }

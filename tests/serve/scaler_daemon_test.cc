@@ -1,9 +1,10 @@
-// Scaler daemon: fault-free parity against a plain IncrementalSession,
-// ingestion validation and backpressure, the degradation ladder +
-// quarantine watchdog, and crash-safe checkpoint/restore parity.
+// Scaler daemon: fault-free decision parity with the simulator, ingestion
+// validation and backpressure, the degradation ladder + quarantine
+// watchdog, and crash-safe checkpoint/restore parity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -20,6 +21,8 @@
 #include "src/forecast/forecaster.h"
 #include "src/forecast/registry.h"
 #include "src/serve/scaler_daemon.h"
+#include "src/sim/policy.h"
+#include "src/sim/simulator.h"
 
 namespace femux {
 namespace {
@@ -58,62 +61,88 @@ ScalerDaemonOptions BaseOptions() {
   return options;
 }
 
-TEST(ScalerDaemonTest, FaultFreeParityWithPlainSession) {
-  const ScalerDaemonOptions options = BaseOptions();
-  ScalerDaemon daemon(options);
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-  // Reference: the exact serving-loop contract the daemon wraps — one
-  // forecaster clone + IncrementalSession per app over the same window.
-  const auto prototype = MakeForecasterByName(options.forecaster);
-  ASSERT_NE(prototype, nullptr);
-  const std::size_t ring_capacity =
-      std::max(options.history_window, prototype->preferred_history());
-  struct Reference {
-    std::unique_ptr<Forecaster> forecaster;
-    IncrementalSession session;
-    std::vector<double> history;
-  };
-  const auto ids = MakeAppIds(6);
-  std::map<std::string, Reference> reference;
-  for (const auto& id : ids) {
-    reference[id].forecaster = prototype->Clone();
-  }
-
-  for (std::uint64_t tick = 1; tick <= 50; ++tick) {
+// The daemon decides what the simulator decides: with faults off, each
+// tick's target equals ForecasterPolicy::TargetUnits on the same prefix,
+// and SimulatePlan over the daemon's targets equals SimulateApp with that
+// policy, field by field.
+TEST(ScalerDaemonTest, FaultFreeDecisionsMatchTheSimulator) {
+  constexpr std::uint64_t kTicks = 160;
+  constexpr std::size_t kHistory = 64;
+  constexpr double kMargin = 1.25;
+  const auto ids = MakeAppIds(3);
+  for (const char* name :
+       {"holt", "ar", "setar", "markov_chain", "fft", "moving_average_1"}) {
+    SCOPED_TRACE(name);
+    ScalerDaemonOptions options = BaseOptions();
+    options.forecaster = name;
+    options.history_window = kHistory;
+    options.margin = kMargin;
+    ScalerDaemon daemon(options);
+    const auto make_policy = [&]() {
+      return std::make_unique<ForecasterPolicy>(MakeForecasterByName(name), kMargin,
+                                                kHistory);
+    };
+    std::vector<std::unique_ptr<ForecasterPolicy>> policies;
+    std::vector<std::vector<double>> demand(ids.size());
+    // plan[t] provisions epoch t from the first t samples; nothing is
+    // known before the first push.
+    std::vector<std::vector<double>> plan(ids.size(), std::vector<double>{0.0});
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      const double value = Sample(i, tick);
-      ASSERT_TRUE(daemon.Push({ids[i], tick, value}));
-      reference[ids[i]].history.push_back(value);
+      policies.push_back(make_policy());
     }
-    daemon.TickOnce();
+    for (std::uint64_t tick = 1; tick <= kTicks; ++tick) {
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        // Idle stretches every 40 epochs, so zero demand is covered too.
+        const double value = (tick / 20) % 2 == 1 && i == 0 ? 0.0 : Sample(i, tick);
+        ASSERT_TRUE(daemon.Push({ids[i], tick, value}));
+        demand[i].push_back(value);
+      }
+      daemon.TickOnce();
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        const double target = daemon.LatestTarget(ids[i]);
+        ASSERT_EQ(Bits(target), Bits(policies[i]->TargetUnits(demand[i])))
+            << "app " << ids[i] << " tick " << tick;
+        plan[i].push_back(target);
+      }
+    }
+    // Fault-free serving never retries or degrades: a forecaster that threw
+    // and was re-seeded would still match the targets above.
+    const DaemonCounters counters = daemon.counters();
+    EXPECT_EQ(counters.decisions, kTicks * ids.size());
+    EXPECT_EQ(counters.forecast_ok, counters.decisions);
+    EXPECT_EQ(counters.retries, 0u);
+    EXPECT_EQ(counters.forecast_faults, 0u);
+    EXPECT_EQ(counters.deadline_misses, 0u);
+    EXPECT_EQ(counters.degraded_last_good, 0u);
+    EXPECT_EQ(counters.degraded_moving_avg, 0u);
+    EXPECT_EQ(counters.pushes, kTicks * ids.size());
+    EXPECT_EQ(counters.drops, 0u);
+    const std::vector<Decision> latest = daemon.LatestDecisions();
+    EXPECT_EQ(latest.size(), ids.size());
+    for (const Decision& d : latest) {
+      EXPECT_EQ(d.source, DecisionSource::kForecast);
+      EXPECT_EQ(d.tick, kTicks);
+    }
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      Reference& ref = reference[ids[i]];
-      const std::size_t n = std::min(ref.history.size(), ring_capacity);
-      const std::span<const double> window(ref.history.data() + ref.history.size() - n,
-                                           n);
-      const double expected =
-          ClampPrediction(ref.session.ForecastStreamed(
-              *ref.forecaster, window, ref.history.size(), options.history_window)) *
-          options.margin;
-      EXPECT_DOUBLE_EQ(daemon.LatestTarget(ids[i]), expected)
-          << "app " << ids[i] << " tick " << tick;
+      const SimMetrics from_daemon = SimulatePlan(demand[i], {}, plan[i], SimOptions{});
+      const auto policy = make_policy();
+      const SimMetrics from_simulator = SimulateApp(demand[i], {}, *policy, SimOptions{});
+      EXPECT_EQ(Bits(from_daemon.invocations), Bits(from_simulator.invocations));
+      EXPECT_EQ(Bits(from_daemon.cold_starts), Bits(from_simulator.cold_starts));
+      EXPECT_EQ(Bits(from_daemon.cold_invocations),
+                Bits(from_simulator.cold_invocations));
+      EXPECT_EQ(Bits(from_daemon.cold_start_seconds),
+                Bits(from_simulator.cold_start_seconds));
+      EXPECT_EQ(Bits(from_daemon.wasted_gb_seconds),
+                Bits(from_simulator.wasted_gb_seconds));
+      EXPECT_EQ(Bits(from_daemon.allocated_gb_seconds),
+                Bits(from_simulator.allocated_gb_seconds));
+      EXPECT_EQ(Bits(from_daemon.execution_seconds),
+                Bits(from_simulator.execution_seconds));
+      EXPECT_EQ(Bits(from_daemon.service_seconds), Bits(from_simulator.service_seconds));
     }
-  }
-
-  const DaemonCounters counters = daemon.counters();
-  EXPECT_EQ(counters.decisions, 50u * ids.size());
-  EXPECT_EQ(counters.forecast_ok, counters.decisions);
-  EXPECT_EQ(counters.degraded_last_good, 0u);
-  EXPECT_EQ(counters.degraded_moving_avg, 0u);
-  EXPECT_EQ(counters.retries, 0u);
-  EXPECT_EQ(counters.deadline_misses, 0u);
-  EXPECT_EQ(counters.pushes, 50u * ids.size());
-  EXPECT_EQ(counters.drops, 0u);
-  const std::vector<Decision> latest = daemon.LatestDecisions();
-  EXPECT_EQ(latest.size(), ids.size());
-  for (const Decision& d : latest) {
-    EXPECT_EQ(d.source, DecisionSource::kForecast);
-    EXPECT_EQ(d.tick, 50u);
   }
 }
 
@@ -214,7 +243,7 @@ TEST(ScalerDaemonTest, DegradationLadderThenQuarantineThenRecovery) {
   EXPECT_EQ(counters.quarantined_decisions, options.quarantine_ticks - 1);
 
   // Phase 4: faults stop; the release event fires and the app returns to
-  // the forecast rung (its session re-seeds from the ring).
+  // the forecast rung (its stream re-seeds from the ring).
   daemon.SetFaultsForTest(FaultSpec{});
   ASSERT_TRUE(daemon.Push({"app-0", ++epoch, Sample(0, epoch)}));
   daemon.TickOnce();
@@ -314,6 +343,47 @@ TEST(ScalerDaemonTest, CheckpointRestoreDecisionParity) {
       const double restored = b.LatestTarget(id);
       EXPECT_NEAR(restored, uninterrupted,
                   1e-7 * std::max(1.0, std::abs(uninterrupted)))
+          << "app " << id << " tick " << tick;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// A record restores its own forecaster even when the daemon's prototype
+// differs, and the ring keeps that forecaster's window: FFT reads two days,
+// the holt prototype only kDefaultHistoryMinutes.
+TEST(ScalerDaemonTest, RestoreUnderAnotherForecasterKeepsItsWindow) {
+  const std::string path = TempPath("restore_other_forecaster");
+  ScalerDaemonOptions options = BaseOptions();
+  options.checkpoint_path = path;
+  options.forecaster = "fft";
+  const auto ids = MakeAppIds(2);
+  constexpr std::uint64_t kCut = 3 * kDefaultHistoryMinutes / 2;
+
+  ScalerDaemon a(options);
+  for (std::uint64_t tick = 1; tick <= kCut; ++tick) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      ASSERT_TRUE(a.Push({ids[i], tick, Sample(i, tick)}));
+    }
+    a.TickOnce();
+  }
+  ASSERT_TRUE(a.Checkpoint());
+
+  options.forecaster = "holt";
+  ScalerDaemon b(options);
+  ASSERT_EQ(b.RestoreFromCheckpoint(), ids.size());
+  for (std::uint64_t tick = kCut + 1; tick <= kCut + 20; ++tick) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const MetricPush push{ids[i], tick, Sample(i, tick)};
+      ASSERT_TRUE(a.Push(push));
+      ASSERT_TRUE(b.Push(push));
+    }
+    a.TickOnce();
+    b.TickOnce();
+    for (const auto& id : ids) {
+      const double uninterrupted = a.LatestTarget(id);
+      EXPECT_NEAR(b.LatestTarget(id), uninterrupted,
+                  1e-9 * std::max(1.0, std::abs(uninterrupted)))
           << "app " << id << " tick " << tick;
     }
   }

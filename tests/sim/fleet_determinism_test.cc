@@ -228,10 +228,9 @@ TEST(FleetDeterminismTest, FleetMetricsBitIdenticalAcrossThreadCounts) {
         SimulateFleetUniform(dataset, *sweep.prototype, SimOptions{},
                              /*respect_app_min_scale=*/false, /*threads=*/1);
     for (const std::size_t threads : {std::size_t{0}, std::size_t{3}}) {
-      SeriesCache cache;  // The cached path must not perturb metrics either.
       const FleetResult parallel =
           SimulateFleetUniform(dataset, *sweep.prototype, SimOptions{},
-                               /*respect_app_min_scale=*/false, threads, &cache);
+                               /*respect_app_min_scale=*/false, threads);
       ASSERT_EQ(serial.per_app.size(), parallel.per_app.size());
       ExpectBitIdentical(serial.total, parallel.total,
                          sweep.label + " total (threads=" +

@@ -1,12 +1,8 @@
-// Streaming fleet-simulation parity and SeriesCache budget tests
-// (DESIGN.md §11).
+// Streaming fleet-simulation parity tests (DESIGN.md §11).
 //
 // SimulateFleetStream's contract: for any thread count and any chunk size,
 // the folded total (and the rows observed through per_app_sink) are
-// bit-identical to SimulateFleet over the materialized dataset. The
-// SeriesCache tests pin the byte-budgeted LRU: residency never exceeds the
-// budget, eviction follows recency, and evicted series remain usable by
-// holders of the shared_ptrs.
+// bit-identical to SimulateFleet over the materialized dataset.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -128,28 +124,6 @@ TEST(FleetStreamTest, LazySourceMatchesMaterializedEndToEnd) {
   ExpectBitIdentical(resident.total, streamed.total, "lazy total");
 }
 
-TEST(FleetStreamTest, SeriesCacheDoesNotPerturbMetrics) {
-  const Dataset dataset = TestDataset();
-  const DatasetTraceSource source(dataset);
-  const ForecasterPolicy prototype(MakeForecasterByName("exp_smoothing"));
-  FleetStreamOptions plain;
-  const FleetStreamResult uncached =
-      SimulateFleetStreamUniform(source, prototype, plain);
-
-  SeriesCache cache;
-  cache.SetBudget(16u << 10);  // Deliberately tiny: eviction mid-run.
-  FleetStreamOptions with_cache;
-  with_cache.series_cache = &cache;
-  const FleetStreamResult cached =
-      SimulateFleetStreamUniform(source, prototype, with_cache);
-  ExpectBitIdentical(uncached.total, cached.total, "cached total");
-  // Re-running with the same cache hits (whatever survived eviction) and
-  // still agrees bit-for-bit.
-  const FleetStreamResult rerun =
-      SimulateFleetStreamUniform(source, prototype, with_cache);
-  ExpectBitIdentical(uncached.total, rerun.total, "rerun total");
-}
-
 TEST(FleetStreamTest, EpochCountMatchesSeriesLengths) {
   const Dataset dataset = TestDataset();
   const DatasetTraceSource source(dataset);
@@ -163,112 +137,22 @@ TEST(FleetStreamTest, EpochCountMatchesSeriesLengths) {
   EXPECT_EQ(streamed.epochs, expected);
 }
 
-// --- SeriesCache byte budget / LRU behaviour -------------------------------
-
-SeriesCache::Series Touch(SeriesCache& cache, const Dataset& dataset, int index) {
-  return cache.GetOrCompute(dataset.apps[static_cast<std::size_t>(index)], index,
-                            60.0);
-}
-
-TEST(SeriesCacheTest, EvictsLeastRecentlyUsedUnderBudget) {
-  const Dataset dataset = TestDataset();
-  SeriesCache cache;
-  // Size the budget to hold only a few one-day series (1440 doubles each for
-  // demand + arrivals, ~23 KB + overhead per entry).
-  cache.SetBudget(80u << 10);
-  for (int i = 0; i < static_cast<int>(dataset.apps.size()); ++i) {
-    Touch(cache, dataset, i);
-  }
-  const SeriesCache::Stats after_fill = cache.stats();
-  EXPECT_GT(after_fill.evictions, 0u) << "budget never bound the cache";
-  EXPECT_LE(after_fill.bytes, 80u << 10);
-  EXPECT_LT(after_fill.entries, dataset.apps.size());
-  EXPECT_EQ(after_fill.misses, dataset.apps.size());
-  EXPECT_EQ(after_fill.hits, 0u);
-
-  // The most recently inserted app must still be resident; the first app
-  // must have been evicted (LRU order).
-  const std::uint64_t hits_before = after_fill.hits;
-  Touch(cache, dataset, static_cast<int>(dataset.apps.size()) - 1);
-  EXPECT_EQ(cache.stats().hits, hits_before + 1);
-  const std::uint64_t misses_before = cache.stats().misses;
-  Touch(cache, dataset, 0);
-  EXPECT_EQ(cache.stats().misses, misses_before + 1);
-}
-
-TEST(SeriesCacheTest, RecentlyTouchedEntrySurvivesEviction) {
-  const Dataset dataset = TestDataset();
-  SeriesCache cache;
-  cache.SetBudget(80u << 10);
-  // Insert apps 0..2, then keep re-touching app 0 while streaming the rest
-  // through: app 0 must stay resident because every touch moves it to the
-  // MRU end.
-  for (int i = 0; i < 3; ++i) {
-    Touch(cache, dataset, i);
-  }
-  for (int i = 3; i < static_cast<int>(dataset.apps.size()); ++i) {
-    Touch(cache, dataset, 0);
-    Touch(cache, dataset, i);
-  }
-  const std::uint64_t hits_before = cache.stats().hits;
-  Touch(cache, dataset, 0);
-  EXPECT_EQ(cache.stats().hits, hits_before + 1) << "hot entry was evicted";
-}
-
-TEST(SeriesCacheTest, EvictedSeriesRemainValidForHolders) {
-  const Dataset dataset = TestDataset();
-  SeriesCache cache;
-  cache.SetBudget(1);  // Every insert immediately evicts its predecessor.
-  const SeriesCache::Series first = Touch(cache, dataset, 0);
-  const std::vector<double> snapshot = *first.demand;
-  for (int i = 1; i < 6; ++i) {
-    Touch(cache, dataset, i);
-  }
-  ASSERT_NE(first.demand, nullptr);
-  EXPECT_EQ(*first.demand, snapshot);  // shared_ptr keeps the data alive.
-  // With a 1-byte budget only the newest entry ever stays resident.
-  EXPECT_LE(cache.stats().entries, 1u);
-}
-
-TEST(SeriesCacheTest, SetBudgetReturnsPreviousAndClearResets) {
-  SeriesCache cache;
-  const std::size_t previous = cache.SetBudget(123);
-  EXPECT_GT(previous, 0u);  // Default (or FEMUX_SERIES_CACHE_MB) budget.
-  EXPECT_EQ(cache.SetBudget(456), 123u);
-
-  const Dataset dataset = TestDataset();
-  cache.SetBudget(64u << 20);
-  Touch(cache, dataset, 0);
-  Touch(cache, dataset, 1);
-  EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_GT(cache.stats().bytes, 0u);
-  cache.Clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().bytes, 0u);
-  // Counters are monotonic: the cleared entries count as evictions.
-  EXPECT_GE(cache.stats().evictions, 2u);
-}
-
 TEST(FleetStreamTest, HuaweiSweepSmallScaleRunsUnderBudget) {
   // End-to-end miniature of bench_fleet_scale's sweep: per-second traces,
-  // 10 s epochs, a budgeted shared cache — totals must be reproducible.
+  // 10 s epochs — totals must be reproducible across passes.
   HuaweiGeneratorOptions options;
   options.num_apps = 30;
   options.duration_minutes = 5;
   options.seed = 9;
   const HuaweiTraceSource source(options);
   const ForecasterPolicy prototype(MakeForecasterByName("moving_average_1"));
-  SeriesCache cache;
-  cache.SetBudget(32u << 10);
   FleetStreamOptions stream;
   stream.sim.epoch_seconds = 10.0;
-  stream.series_cache = &cache;
   const FleetStreamResult a = SimulateFleetStreamUniform(source, prototype, stream);
   const FleetStreamResult b = SimulateFleetStreamUniform(source, prototype, stream);
   EXPECT_EQ(a.apps, 30u);
   EXPECT_GT(a.epochs, 0u);
   ExpectBitIdentical(a.total, b.total, "huawei rerun");
-  EXPECT_LE(cache.stats().bytes, 32u << 10);
 }
 
 TEST(FleetStreamTest, BoundedBackpressureBitIdenticalAndCapped) {
@@ -299,43 +183,6 @@ TEST(FleetStreamTest, BoundedBackpressureBitIdenticalAndCapped) {
     EXPECT_LE(bounded.peak_pending_chunks, bound);
     EXPECT_GE(bounded.peak_pending_chunks, 1u);  // Some chunk completed.
   }
-}
-
-TEST(FleetStreamTest, TwoPassSweepHitsCacheSinglePassBypasses) {
-  // Pins the DESIGN.md §14 cache decision: a single-pass sweep visits each
-  // (app, epoch) key once, so every lookup would miss — single-pass callers
-  // pass null and take the arena path. Multi-pass callers DO benefit: the
-  // second identical sweep over a generously budgeted cache must be all
-  // hits and still bit-identical to the cacheless run.
-  ASSERT_TRUE(kEnvReady);
-  HuaweiGeneratorOptions gen;
-  gen.num_apps = 20;
-  gen.duration_minutes = 5;
-  gen.seed = 12;
-  const HuaweiTraceSource source(gen);
-  const ForecasterPolicy prototype(MakeForecasterByName("moving_average_1"));
-  FleetStreamOptions stream;
-  stream.sim.epoch_seconds = 10.0;
-
-  const FleetStreamResult cacheless =
-      SimulateFleetStreamUniform(source, prototype, stream);
-
-  SeriesCache cache;
-  cache.SetBudget(64u << 20);
-  stream.series_cache = &cache;
-  const FleetStreamResult pass1 =
-      SimulateFleetStreamUniform(source, prototype, stream);
-  const std::uint64_t hits_after_pass1 = cache.stats().hits;
-  // Pass 1 IS a single-pass sweep: every lookup misses by construction.
-  EXPECT_EQ(hits_after_pass1, 0u);
-  EXPECT_EQ(cache.stats().misses, 20u);
-
-  const FleetStreamResult pass2 =
-      SimulateFleetStreamUniform(source, prototype, stream);
-  EXPECT_GT(cache.stats().hits, hits_after_pass1);  // All 20 apps hit.
-  EXPECT_EQ(cache.stats().hits, 20u);
-  ExpectBitIdentical(cacheless.total, pass1.total, "cached pass 1");
-  ExpectBitIdentical(cacheless.total, pass2.total, "cached pass 2");
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -138,108 +137,6 @@ TEST(FleetTest, PerAppPolicyFactoryReceivesIndices) {
   for (int s : seen) {
     EXPECT_EQ(s, 1);
   }
-}
-
-TEST(SeriesCacheTest, CachedFleetMatchesUncached) {
-  const Dataset data = SmallDataset();
-  ForecasterPolicy prototype(std::make_unique<MovingAverageForecaster>(3));
-  const FleetResult plain = SimulateFleetUniform(data, prototype, SimOptions{});
-  SeriesCache cache;
-  const FleetResult first =
-      SimulateFleetUniform(data, prototype, SimOptions{}, false, 0, &cache);
-  const FleetResult second =
-      SimulateFleetUniform(data, prototype, SimOptions{}, false, 0, &cache);
-  EXPECT_EQ(cache.size(), data.apps.size());
-  ASSERT_EQ(plain.per_app.size(), first.per_app.size());
-  for (std::size_t i = 0; i < plain.per_app.size(); ++i) {
-    EXPECT_DOUBLE_EQ(plain.per_app[i].cold_starts, first.per_app[i].cold_starts);
-    EXPECT_DOUBLE_EQ(plain.per_app[i].wasted_gb_seconds,
-                     first.per_app[i].wasted_gb_seconds);
-    EXPECT_DOUBLE_EQ(second.per_app[i].cold_starts, first.per_app[i].cold_starts);
-    EXPECT_DOUBLE_EQ(second.per_app[i].wasted_gb_seconds,
-                     first.per_app[i].wasted_gb_seconds);
-  }
-}
-
-TEST(SeriesCacheTest, KeyedByAppAndEpoch) {
-  const Dataset data = SmallDataset();
-  SeriesCache cache;
-  const AppTrace& app = data.apps.front();
-  const SeriesCache::Series minute = cache.GetOrCompute(app, 0, 60.0);
-  const SeriesCache::Series coarse = cache.GetOrCompute(app, 0, 120.0);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_NE(minute.demand->size(), coarse.demand->size());
-  // Repeat lookups share the already-computed series.
-  EXPECT_EQ(cache.GetOrCompute(app, 0, 60.0).demand.get(), minute.demand.get());
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(SeriesCacheTest, CountersAccountForEveryLookup) {
-  const Dataset data = SmallDataset();
-  SeriesCache cache;
-  const SeriesCache::Stats empty = cache.stats();
-  EXPECT_EQ(empty.hits, 0u);
-  EXPECT_EQ(empty.misses, 0u);
-  EXPECT_EQ(empty.evictions, 0u);
-  EXPECT_EQ(empty.entries, 0u);
-
-  cache.GetOrCompute(data.apps[0], 0, 60.0);  // miss
-  cache.GetOrCompute(data.apps[0], 0, 60.0);  // hit
-  cache.GetOrCompute(data.apps[1], 1, 60.0);  // miss
-  cache.GetOrCompute(data.apps[0], 0, 120.0); // miss (distinct epoch)
-  const SeriesCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 3u);
-  EXPECT_EQ(stats.entries, 3u);
-  EXPECT_EQ(stats.evictions, 0u);
-
-  cache.Clear();
-  const SeriesCache::Stats cleared = cache.stats();
-  EXPECT_EQ(cleared.evictions, 3u);
-  EXPECT_EQ(cleared.entries, 0u);
-  // hits/misses are monotonic across the cache's lifetime.
-  EXPECT_EQ(cleared.hits, stats.hits);
-  EXPECT_EQ(cleared.misses, stats.misses);
-
-  cache.GetOrCompute(data.apps[0], 0, 60.0);  // re-miss after eviction
-  EXPECT_EQ(cache.stats().misses, 4u);
-}
-
-// Thread-hammer: hits + misses must equal the exact number of GetOrCompute
-// calls even under contention, and every counter stays monotone. Racing
-// first lookups on one key may each count a miss (documented), which the
-// exact accounting below still covers: hits + misses == calls regardless of
-// how the race resolves.
-TEST(SeriesCacheTest, CountersAtomicUnderConcurrentHammer) {
-  const Dataset data = SmallDataset();
-  SeriesCache cache;
-  constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kIterations = 200;
-  constexpr std::size_t kKeys = 5;  // Few keys -> heavy same-key contention.
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&cache, &data, t] {
-      for (std::size_t i = 0; i < kIterations; ++i) {
-        const std::size_t key = (t + i) % kKeys;
-        const SeriesCache::Series series =
-            cache.GetOrCompute(data.apps[key], static_cast<int>(key), 60.0);
-        ASSERT_NE(series.demand, nullptr);
-        ASSERT_NE(series.arrivals, nullptr);
-      }
-    });
-  }
-  for (std::thread& w : workers) {
-    w.join();
-  }
-  const SeriesCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, kThreads * kIterations);
-  EXPECT_EQ(stats.entries, kKeys);
-  EXPECT_GE(stats.misses, kKeys);  // At least one computation per key.
-  EXPECT_EQ(stats.evictions, 0u);
-  cache.Clear();
-  EXPECT_EQ(cache.stats().evictions, kKeys);
 }
 
 // Clone() audit (DESIGN.md §10): a policy clone must not share mutable

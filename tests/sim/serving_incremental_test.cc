@@ -1,8 +1,8 @@
 // Serving-path parity for the incremental forecasting protocol: the
 // rewired policies (ForecasterPolicy, FemuxPolicy) must produce the same
 // per-epoch targets as the pre-PR batch implementations, including across
-// FemuxPolicy's block-boundary forecaster switches where the incremental
-// session has to re-seed its window state.
+// FemuxPolicy's block-boundary forecaster switches where the forecast
+// stream has to re-seed its window state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -169,7 +169,7 @@ TEST(ServingIncrementalTest, FemuxPolicyMatchesLegacyAcrossSwitches) {
     total_switches += policy.switch_count();
   }
   // The parity above is only meaningful if some app actually switched
-  // forecasters (exercising the session re-seed on a fresh instance).
+  // forecasters (exercising the stream re-seed on a fresh instance).
   EXPECT_GT(total_switches, 0);
 }
 
