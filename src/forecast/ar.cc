@@ -53,18 +53,27 @@ void AddDesignRow(const double* x, double y, std::size_t dim, double* gram,
   }
 }
 
-// Mirrors an upper-triangle Gram and solves the normal equations by
-// Cholesky, as FitOls does.
-std::vector<double> SolveNormalEquations(const double* gram, const double* moments,
-                                         std::size_t dim) {
-  Matrix xtx(dim, dim);
+// Mirrors an upper-triangle Gram into `ws` and solves the normal equations
+// by Cholesky into `x`, as FitOls does.
+void SolveNormalEquationsInto(const double* gram, const double* moments,
+                              std::size_t dim, CholeskyWorkspace& ws,
+                              std::span<double> x) {
+  ws.a.resize(dim * dim);
   for (std::size_t i = 0; i < dim; ++i) {
     for (std::size_t j = i; j < dim; ++j) {
-      xtx(i, j) = gram[i * dim + j];
-      xtx(j, i) = gram[i * dim + j];
+      ws.a[i * dim + j] = gram[i * dim + j];
+      ws.a[j * dim + i] = gram[i * dim + j];
     }
   }
-  return CholeskySolve(std::move(xtx), std::vector<double>(moments, moments + dim));
+  CholeskySolveInto(ws, std::span<const double>(moments, dim), x);
+}
+
+std::vector<double> SolveNormalEquations(const double* gram, const double* moments,
+                                         std::size_t dim) {
+  CholeskyWorkspace ws;
+  std::vector<double> x(dim);
+  SolveNormalEquationsInto(gram, moments, dim, ws, x);
+  return x;
 }
 
 // AR(p) coefficients (intercept, lag1..lagp) fitted by OLS over every design
@@ -85,6 +94,15 @@ std::vector<double> FitArCoefficients(std::span<const double> y, std::size_t p) 
   return SolveNormalEquations(gram.data(), moments.data(), dim);
 }
 
+// The cap on AR predictions: three times the history's peak, plus one.
+double PredictionBound(std::span<const double> history) {
+  double peak = 0.0;
+  for (double v : history) {
+    peak = std::max(peak, v);
+  }
+  return 3.0 * peak + 1.0;
+}
+
 // Recursively rolls a one-step prediction function forward `horizon` steps
 // (`history` holds at least p samples). Predictions are bounded by a
 // multiple of the history's peak: an estimated AR root slightly outside the
@@ -93,11 +111,7 @@ std::vector<double> FitArCoefficients(std::span<const double> y, std::size_t p) 
 template <typename Step>
 std::vector<double> RollForward(std::span<const double> history, std::size_t horizon,
                                 std::size_t p, const Step& step) {
-  double peak = 0.0;
-  for (double v : history) {
-    peak = std::max(peak, v);
-  }
-  const double bound = 3.0 * peak + 1.0;
+  const double bound = PredictionBound(history);
   std::vector<double> out;
   out.reserve(horizon);
   if (horizon == 1) {
@@ -180,91 +194,94 @@ namespace {
 constexpr std::size_t kGramRebuildInterval = 24;
 }  // namespace
 
-void ArForecaster::BeginWindow(std::span<const double> history,
-                               std::size_t capacity) {
-  window_.Reset(history, capacity);
+void ArForecaster::BeginWindow(std::span<const double> window, std::size_t capacity) {
+  (void)capacity;  // A slide shows as previous.size() == window.size().
   inc_coefficients_.clear();
   inc_calls_since_fit_ = 0;
-  slides_since_rebuild_ = 0;
-  RebuildGram();
+  RebuildGram(window);
 }
 
-void ArForecaster::ObserveAppend(double value) {
+void ArForecaster::ObserveAppend(std::span<const double> previous,
+                                 std::span<const double> window) {
   const std::size_t p = lags_;
-  // The departing design row (once the ring is full) targets window index p;
-  // remove it before the ring mutates.
-  if (window_.full() && window_.size() > p) {
-    UpdateGramRow(p, -1.0);
+  // On a slide the departing design row targets previous[p].
+  if (window.size() == previous.size() && previous.size() > p) {
+    UpdateGramRow(previous, p, -1.0);
   }
-  double evicted = 0.0;
-  window_.Append(value, &evicted);
-  if (window_.size() > p) {
-    // The arriving row targets the new last index (regressors are the p
-    // samples that preceded the append).
-    UpdateGramRow(window_.size() - 1, 1.0);
+  if (window.size() > p) {
+    // The arriving row targets the newest sample.
+    UpdateGramRow(window, window.size() - 1, 1.0);
   }
-  gram_rows_ = window_.size() > p ? window_.size() - p : 0;
+  gram_rows_ = window.size() > p ? window.size() - p : 0;
   if (++slides_since_rebuild_ >= kGramRebuildInterval) {
-    RebuildGram();
+    RebuildGram(window);
   }
 }
 
-double ArForecaster::ForecastNext() {
-  const std::size_t n = window_.size();
+double ArForecaster::ForecastNext(std::span<const double> window) {
+  const std::size_t n = window.size();
+  const auto fallback = [window] { return ClampPrediction(Mean(window)); };
   if (n <= lags_ + 3) {
-    return FallbackMeanNext();
+    return fallback();
   }
   const bool stale =
       inc_coefficients_.empty() || inc_calls_since_fit_ >= refit_interval_;
   if (stale) {
-    if (WindowVarianceIsZero()) {
+    // Variance(window) == 0 gate: distinct extrema imply a strictly
+    // positive variance for the magnitudes demand series take, and equal
+    // ones run the batch computation itself.
+    const auto [lo, hi] = std::minmax_element(window.begin(), window.end());
+    if (*lo == *hi && Variance(window) == 0.0) {
       inc_coefficients_.clear();
       inc_calls_since_fit_ = 0;
-      return FallbackMeanNext();
+      return fallback();
     }
-    inc_coefficients_ = FitFromGram();
+    // FitArCoefficients's usability gate: too few rows, no model.
+    const std::size_t dim = lags_ + 1;
+    inc_coefficients_.clear();
+    if (gram_rows_ > lags_ + 2) {
+      inc_coefficients_.resize(dim);
+      SolveNormalEquationsInto(gram_.data(), moments_.data(), dim, solve_,
+                               inc_coefficients_);
+    }
     inc_calls_since_fit_ = 0;
   }
   ++inc_calls_since_fit_;
   if (inc_coefficients_.empty()) {
-    return FallbackMeanNext();
+    return fallback();
   }
-  // One-step RollForward: bound by 3x the window peak (exact via the
-  // monotonic deque) and evaluate the AR polynomial on the last p samples.
-  const double bound = 3.0 * std::max(window_.Max(), 0.0) + 1.0;
+  // One-step RollForward: bound by 3x the window peak and evaluate the AR
+  // polynomial on the last p samples.
   double value = inc_coefficients_[0];
   for (std::size_t k = 1; k <= lags_; ++k) {
-    value += inc_coefficients_[k] * window_[n - k];
+    value += inc_coefficients_[k] * window[n - k];
   }
-  return std::min(bound, ClampPrediction(value));
+  return std::min(PredictionBound(window), ClampPrediction(value));
 }
 
-void ArForecaster::RebuildGram() {
+void ArForecaster::RebuildGram(std::span<const double> window) {
   const std::size_t p = lags_;
   const std::size_t dim = p + 1;
   gram_.assign(dim * dim, 0.0);
   moments_.assign(dim, 0.0);
-  gram_rows_ = window_.size() > p ? window_.size() - p : 0;
-  for (std::size_t t = p; t < window_.size(); ++t) {
-    UpdateGramRow(t, 1.0);
+  gram_rows_ = window.size() > p ? window.size() - p : 0;
+  for (std::size_t t = p; t < window.size(); ++t) {
+    UpdateGramRow(window, t, 1.0);
   }
   slides_since_rebuild_ = 0;
 }
 
-void ArForecaster::UpdateGramRow(std::size_t target, double sign) {
+void ArForecaster::UpdateGramRow(std::span<const double> window, std::size_t target,
+                                 double sign) {
   const std::size_t p = lags_;
   const std::size_t dim = p + 1;
-  if (gram_.size() != dim * dim) {
-    gram_.assign(dim * dim, 0.0);
-    moments_.assign(dim, 0.0);
-  }
-  const double y = window_[target];
+  const double y = window[target];
   // Row regressors: x0 = 1, xk = window[target - k].
   double x[64];  // dim <= 64 always (lags are ~10 in practice).
   const std::size_t d = std::min<std::size_t>(dim, 64);
   x[0] = 1.0;
   for (std::size_t k = 1; k < d; ++k) {
-    x[k] = window_[target - k];
+    x[k] = window[target - k];
   }
   for (std::size_t i = 0; i < d; ++i) {
     const double xi = sign * x[i];
@@ -276,52 +293,6 @@ void ArForecaster::UpdateGramRow(std::size_t target, double sign) {
       gram_[i * dim + j] += xi * x[j];
     }
   }
-}
-
-std::vector<double> ArForecaster::FitFromGram() const {
-  const std::size_t p = lags_;
-  // Mirrors FitArCoefficients's usability gate: too few rows -> no model.
-  if (gram_rows_ <= p + 2) {
-    return {};
-  }
-  return SolveNormalEquations(gram_.data(), moments_.data(), p + 1);
-}
-
-bool ArForecaster::WindowVarianceIsZero() const {
-  const std::size_t n = window_.size();
-  if (n < 2) {
-    return true;
-  }
-  // Fast path: distinct extrema imply a strictly positive variance for the
-  // magnitudes demand series take. Constant windows replicate the batch
-  // Variance() computation bit-for-bit (its rounded mean can make even a
-  // constant-free window's variance land exactly on zero or not).
-  if (window_.Min() != window_.Max()) {
-    return false;
-  }
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sum += window_[i];
-  }
-  const double mu = sum / static_cast<double>(n);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = window_[i] - mu;
-    acc += d * d;
-  }
-  return acc / static_cast<double>(n - 1) == 0.0;
-}
-
-double ArForecaster::FallbackMeanNext() const {
-  const std::size_t n = window_.size();
-  if (n == 0) {
-    return 0.0;
-  }
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sum += window_[i];
-  }
-  return ClampPrediction(sum / static_cast<double>(n));
 }
 
 

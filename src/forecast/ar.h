@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "src/forecast/forecaster.h"
-#include "src/forecast/sliding.h"
+#include "src/stats/linalg.h"
 
 namespace femux {
 
@@ -37,25 +37,25 @@ class ArForecaster final : public Forecaster {
 
   // Incremental protocol: the (p+1)x(p+1) Gram matrix and moment vector of
   // the AR design are maintained under rank-1 row add/remove as the window
-  // slides; refits solve the tiny normal system instead of rebuilding the
-  // design. Parity bound vs the batch path: ~1e-9 relative (Gram sums are
-  // reassociated; the state is fully rebuilt every few hundred slides so
+  // slides; refits solve the tiny normal system in a kept workspace instead
+  // of rebuilding the design. The window itself is read from the stream.
+  // Parity bound vs the batch path: ~1e-9 relative (Gram sums are
+  // reassociated; the state is fully rebuilt every few dozen slides so
   // add/remove cancellation error cannot accumulate).
   bool SupportsIncremental() const override { return true; }
-  void BeginWindow(std::span<const double> history, std::size_t capacity) override;
-  void ObserveAppend(double value) override;
-  double ForecastNext() override;
+  void BeginWindow(std::span<const double> window, std::size_t capacity) override;
+  void ObserveAppend(std::span<const double> previous,
+                     std::span<const double> window) override;
+  double ForecastNext(std::span<const double> window) override;
 
   std::size_t lags() const { return lags_; }
 
  private:
-  void RebuildGram();
-  // Adds (sign=+1) or removes (sign=-1) the design row targeting window
-  // index `target` (regressors are the `lags_` preceding window samples).
-  void UpdateGramRow(std::size_t target, double sign);
-  std::vector<double> FitFromGram() const;
-  bool WindowVarianceIsZero() const;
-  double FallbackMeanNext() const;
+  void RebuildGram(std::span<const double> window);
+  // Adds (sign=+1) or removes (sign=-1) the design row targeting
+  // window[target] (regressors are the `lags_` preceding samples).
+  void UpdateGramRow(std::span<const double> window, std::size_t target,
+                     double sign);
 
   std::size_t lags_;
   std::size_t refit_interval_;
@@ -63,13 +63,13 @@ class ArForecaster final : public Forecaster {
   std::vector<double> cached_coefficients_;  // intercept, lag1..lagp.
 
   // Incremental sliding-window state (DESIGN.md §7).
-  WindowBuffer window_;
   std::vector<double> gram_;     // Upper triangle of X'X, (p+1)^2 row-major.
   std::vector<double> moments_;  // X'y.
   std::size_t gram_rows_ = 0;
   std::size_t slides_since_rebuild_ = 0;
   std::size_t inc_calls_since_fit_ = 0;
   std::vector<double> inc_coefficients_;
+  CholeskyWorkspace solve_;
 };
 
 class SetarForecaster final : public Forecaster {

@@ -50,42 +50,40 @@ std::unique_ptr<Forecaster> FftForecaster::Clone() const {
   return std::make_unique<FftForecaster>(harmonics_, refit_interval_, history_minutes_);
 }
 
-void FftForecaster::BeginWindow(std::span<const double> history,
+void FftForecaster::BeginWindow(std::span<const double> window,
                                 std::size_t capacity) {
-  window_.Reset(history, capacity);
+  (void)window;  // Bins and model are rebuilt lazily at the next refit.
+  capacity_ = capacity;
   bins_valid_ = false;
   inc_model_.clear();
   inc_length_ = 0;
   inc_calls_since_fit_ = 0;
 }
 
-void FftForecaster::ObserveAppend(double value) {
-  const bool was_full = window_.full();
-  double evicted = 0.0;
-  window_.Append(value, &evicted);
+void FftForecaster::ObserveAppend(std::span<const double> previous,
+                                  std::span<const double> window) {
   if (!bins_valid_) {
     return;  // Bins are (re)built lazily at the next refit.
   }
-  if (!was_full) {
-    // The window length changed, so the maintained bins no longer describe
-    // a window of the current size.
+  if (window.size() != previous.size()) {
+    // The window grew, so the maintained bins no longer describe a window
+    // of the current size.
     bins_valid_ = false;
     return;
   }
   // Sliding DFT: dropping the oldest sample and appending the newest maps
   // each bin through X' = (X - x_old + x_new) * exp(2*pi*i*k/n) — one
   // complex multiply-add per bin per slide.
-  const double delta = value - evicted;
+  const double delta = window.back() - previous.front();
   simd::SlideUpdate(bins_.data(), delta, slide_twiddle_.data(), bins_.size());
   if (++slides_since_rebuild_ >= kRebuildSlides) {
-    RebuildBins();
+    RebuildBins(window);
   }
 }
 
-void FftForecaster::RebuildBins() {
-  const std::size_t n = window_.size();
-  window_.CopyTo(&scratch_);
-  RealSpectrumInto(scratch_, &bins_);
+void FftForecaster::RebuildBins(std::span<const double> window) {
+  const std::size_t n = window.size();
+  RealSpectrumInto(window, &bins_);
   if (slide_twiddle_.size() != n / 2 + 1) {
     slide_twiddle_.resize(n / 2 + 1);
     for (std::size_t k = 0; k <= n / 2; ++k) {
@@ -98,11 +96,11 @@ void FftForecaster::RebuildBins() {
   slides_since_rebuild_ = 0;
 }
 
-void FftForecaster::RefitIncremental() {
-  const std::size_t n = window_.size();
-  if (window_.full()) {
+void FftForecaster::RefitIncremental(std::span<const double> window) {
+  const std::size_t n = window.size();
+  if (n == capacity_) {
     if (!bins_valid_) {
-      RebuildBins();
+      RebuildBins(window);
     }
     const double excluded = SelectTopHarmonics(bins_, n, harmonics_, &inc_model_);
     // Snap near-tied selection boundaries to an exact respectrum: the
@@ -111,31 +109,29 @@ void FftForecaster::RefitIncremental() {
     // drifted ranking could pick a different bin than the batch transform
     // would. Boundaries whose excluded amplitude is negligible (idle or
     // constant windows, where every non-DC bin ties near zero) can't move
-    // the forecast by more than ~k * 1e-11 and skip the snap — the O(1)
-    // analogue of the SES/Holt constant-window short-circuit.
+    // the forecast by more than ~k * 1e-11 and skip the snap.
     if (excluded >= 0.0 && !inc_model_.empty() && slides_since_rebuild_ > 0) {
       const double scale = std::max(1.0, inc_model_.front().amplitude);
       if (excluded > 1e-11 * scale &&
           inc_model_.back().amplitude - excluded <= 1e-9 * scale) {
-        RebuildBins();
+        RebuildBins(window);
         SelectTopHarmonics(bins_, n, harmonics_, &inc_model_);
       }
     }
   } else {
-    window_.CopyTo(&scratch_);
-    inc_model_ = TopHarmonics(scratch_, harmonics_);
+    inc_model_ = TopHarmonics(window, harmonics_);
   }
   inc_length_ = n;
   inc_calls_since_fit_ = 0;
 }
 
-double FftForecaster::ForecastNext() {
-  const std::size_t size = window_.size();
+double FftForecaster::ForecastNext(std::span<const double> window) {
+  const std::size_t size = window.size();
   if (size < 8) {
-    return ClampPrediction(size == 0 ? 0.0 : window_.back());
+    return ClampPrediction(size == 0 ? 0.0 : window.back());
   }
-  // Mirror of the batch staleness logic: the internal window advances by
-  // exactly one sample per ObserveAppend, so alignment only breaks at the
+  // Mirror of the batch staleness logic: the window advances by exactly
+  // one sample per ObserveAppend, so alignment only breaks at the
   // growth-to-slide boundary (the first eviction after a fit at a shorter
   // length), where the batch path refits too.
   const bool aligned = size == inc_length_ + inc_calls_since_fit_ ||
@@ -143,7 +139,7 @@ double FftForecaster::ForecastNext() {
   const bool stale = inc_model_.empty() ||
                      inc_calls_since_fit_ >= refit_interval_ || !aligned;
   if (stale) {
-    RefitIncremental();
+    RefitIncremental(window);
   }
   ++inc_calls_since_fit_;
   const double base =

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/forecast/forecaster.h"
-#include "src/forecast/sliding.h"
 #include "src/stats/fft.h"
 
 namespace femux {
@@ -33,17 +32,20 @@ class FftForecaster final : public Forecaster {
 
   // Incremental protocol (DESIGN.md §9): once the window is at capacity,
   // its DFT bins are maintained by sliding-DFT updates — one complex
-  // multiply-add per bin per slide — so a refit is a top-k *re-selection*
-  // over the maintained bins instead of a full transform, and calls between
-  // refits phase-advance the cached model exactly like the batch path.
-  // Selection-boundary near-ties snap to an exact respectrum (mirroring the
-  // SES/Holt grid-argmin resweep), and the bins are rebuilt from the raw
-  // window every kRebuildSlides slides to bound rounding drift, keeping
-  // parity with Forecast(window, 1) within 1e-9 scale-relative.
+  // multiply-add per bin per slide, with the departing sample read from
+  // the previous window — so a refit is a top-k *re-selection* over the
+  // maintained bins instead of a full transform, and calls between refits
+  // phase-advance the cached model exactly like the batch path. While the
+  // window grows, a refit transforms the stream's window itself.
+  // Selection-boundary near-ties snap to an exact respectrum, and the bins
+  // are rebuilt from the window every kRebuildSlides slides to bound
+  // rounding drift, keeping parity with Forecast(window, 1) within 1e-9
+  // scale-relative.
   bool SupportsIncremental() const override { return true; }
-  void BeginWindow(std::span<const double> history, std::size_t capacity) override;
-  void ObserveAppend(double value) override;
-  double ForecastNext() override;
+  void BeginWindow(std::span<const double> window, std::size_t capacity) override;
+  void ObserveAppend(std::span<const double> previous,
+                     std::span<const double> window) override;
+  double ForecastNext(std::span<const double> window) override;
 
   std::size_t harmonics() const { return harmonics_; }
 
@@ -53,11 +55,11 @@ class FftForecaster final : public Forecaster {
   // the near-tie snap threshold.
   static constexpr std::size_t kRebuildSlides = 512;
 
-  // Recomputes the maintained half-spectrum from the raw window.
-  void RebuildBins();
-  // Refits the cached incremental model (bin re-selection when the
-  // maintained bins are valid, full transform otherwise).
-  void RefitIncremental();
+  // Recomputes the maintained half-spectrum from `window`.
+  void RebuildBins(std::span<const double> window);
+  // Refits the cached incremental model (bin re-selection once the window
+  // is full, a transform of it while it grows).
+  void RefitIncremental(std::span<const double> window);
 
   std::size_t harmonics_;
   std::size_t refit_interval_;
@@ -69,8 +71,7 @@ class FftForecaster final : public Forecaster {
   std::size_t calls_since_fit_ = 0;
 
   // Incremental-path state.
-  WindowBuffer window_;
-  std::vector<double> scratch_;
+  std::size_t capacity_ = 0;  // Window size once full (from BeginWindow).
   std::vector<std::complex<double>> bins_;           // Maintained bins 0..n/2.
   std::vector<std::complex<double>> slide_twiddle_;  // exp(+2*pi*i*k/n).
   bool bins_valid_ = false;

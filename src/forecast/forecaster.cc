@@ -37,6 +37,12 @@ std::span<const double> ForecastStream::ForecasterWindow() const {
   return window.last(std::min(window.size(), window_));
 }
 
+std::span<const double> ForecastStream::PreviousWindow() const {
+  const std::span<const double> before =
+      std::span<const double>(ring_).first(ring_.size() - 1);
+  return before.last(std::min(before.size(), window_));
+}
+
 void ForecastStream::Bind(Forecaster& forecaster) {
   forecaster_ = &forecaster;
   window_ = std::max(window_hint_, forecaster.preferred_history());
@@ -99,11 +105,11 @@ double ForecastStream::Forecast() {
   // Cleared before calling in, so a throw leaves the stream to re-seed.
   Reset();
   if (one_new) {
-    forecaster_->ObserveAppend(window.back());
+    forecaster_->ObserveAppend(PreviousWindow(), window);
   } else if (!current) {
     forecaster_->BeginWindow(window, window_);
   }
-  prediction_ = forecaster_->ForecastNext();
+  prediction_ = forecaster_->ForecastNext(window);
   seeded_ = true;
   seen_ = observed_;
   has_prediction_ = true;

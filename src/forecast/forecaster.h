@@ -62,26 +62,41 @@ class Forecaster {
   // reassociates sums). Opt in only when the state is cheaper than a sweep
   // of the window: SES and Holt do not (DESIGN.md §7).
   //
-  // Callers drive the protocol through ForecastStream below, which tracks
-  // how many samples arrived since the last call and falls back to batch.
+  // Callers drive the protocol through ForecastStream below, which owns the
+  // window and hands it to every call: `window` is the last
+  // min(observed, capacity) samples, oldest first, with capacity =
+  // max(window hint, preferred_history()). The spans point into the
+  // stream's ring, which compacts, so they are valid only during the call
+  // and a forecaster keeps no copy of the window: only the state the window
+  // does not give it.
 
   // True when ObserveAppend/ForecastNext are implemented.
   virtual bool SupportsIncremental() const { return false; }
 
-  // Discards incremental state and re-seeds it from `history` (oldest
-  // first; only the last `capacity` samples are kept). Called on first use
-  // and whenever more than one sample arrived since the last call.
-  virtual void BeginWindow(std::span<const double> history, std::size_t capacity) {
-    (void)history;
+  // Discards incremental state and re-seeds it from `window`. Called on
+  // first use and whenever more than one sample arrived since the last
+  // call. `window.size() == capacity` means the window is already full.
+  virtual void BeginWindow(std::span<const double> window, std::size_t capacity) {
+    (void)window;
     (void)capacity;
   }
 
-  // Slides the window forward by one sample (evicting the oldest once the
-  // window is at capacity).
-  virtual void ObserveAppend(double value) { (void)value; }
+  // Slides the window forward by one sample. `previous` is the window of
+  // the last BeginWindow or ObserveAppend; `window` is `previous` plus the
+  // newest sample, without previous.front() once previous was at capacity
+  // (then the two have the same size).
+  virtual void ObserveAppend(std::span<const double> previous,
+                             std::span<const double> window) {
+    (void)previous;
+    (void)window;
+  }
 
-  // One-step forecast from the current window state.
-  virtual double ForecastNext() { return 0.0; }
+  // One-step forecast from the current state and `window`, the window of
+  // the last BeginWindow or ObserveAppend.
+  virtual double ForecastNext(std::span<const double> window) {
+    (void)window;
+    return 0.0;
+  }
 
   // ---- Opaque learned state (opt-in; DESIGN.md §15) ----
   //
@@ -181,6 +196,10 @@ class ForecastStream {
  private:
   // The bound forecaster's slice of Window().
   std::span<const double> ForecasterWindow() const;
+  // ForecasterWindow() before the newest sample: what the forecaster saw
+  // one sample ago. The ring always retains it (it compacts to capacity,
+  // and then appends).
+  std::span<const double> PreviousWindow() const;
   // Re-seeds the bound forecaster from the ring (exception rule above).
   void Seed();
 

@@ -202,53 +202,42 @@ std::unique_ptr<Forecaster> LinearStateForecaster::Clone() const {
   return std::make_unique<LinearStateForecaster>(options_);
 }
 
-void LinearStateForecaster::BeginWindow(std::span<const double> history,
+void LinearStateForecaster::BeginWindow(std::span<const double> window,
                                         std::size_t capacity) {
-  (void)capacity;  // The fold window is the model's own `window`, exactly
-                   // as the batch path uses min(history, window).
+  (void)capacity;  // The fold window is the model's own `window`.
   if (!trained_) {
-    TrainOnSeries(history);
+    TrainOnSeries(window);
   }
-  const std::size_t len = std::min(history.size(), options_.window);
-  ring_.Reset(history.last(len), options_.window);
-  FoldWindow(history.last(len), h_);
+  FoldWindow(OwnWindow(window), h_);
   slides_since_rebuild_ = 0;
 }
 
-void LinearStateForecaster::ObserveAppend(double value) {
-  double evicted = 0.0;
-  const bool slid = ring_.Append(value, &evicted);
-  StepState(h_, value / scale_);
-  if (slid) {
+void LinearStateForecaster::ObserveAppend(std::span<const double> previous,
+                                          std::span<const double> window) {
+  const std::span<const double> before = OwnWindow(previous);
+  StepState(h_, window.back() / scale_);
+  if (before.size() == options_.window) {
     // Remove the evicted sample's (fully decayed) contribution: after the
     // step above its weight in h_ is exactly A^W b * x_old.
-    const double x_old = evicted / scale_;
+    const double x_old = before.front() / scale_;
     for (std::size_t i = 0; i < options_.state_dim; ++i) {
       h_[i] -= awb_[i] * x_old;
     }
     if (++slides_since_rebuild_ >= kRebuildEverySlides) {
-      RebuildFromRing();
+      FoldWindow(OwnWindow(window), h_);
+      slides_since_rebuild_ = 0;
     }
   }
 }
 
-void LinearStateForecaster::RebuildFromRing() {
-  std::vector<double> window;
-  ring_.CopyTo(&window);
-  FoldWindow(window, h_);
-  slides_since_rebuild_ = 0;
-}
-
-double LinearStateForecaster::ForecastNext() {
-  if (ring_.size() == 0) return 0.0;
+double LinearStateForecaster::ForecastNext(std::span<const double> window) {
+  if (window.empty()) return 0.0;
   if (!trained_) {
-    std::vector<double> window;
-    ring_.CopyTo(&window);
-    TrainOnSeries(window);
-    FoldWindow(window, h_);
+    TrainOnSeries(OwnWindow(window));
+    FoldWindow(OwnWindow(window), h_);
     slides_since_rebuild_ = 0;
   }
-  const double pred_norm = Readout(h_, ring_.back() / scale_);
+  const double pred_norm = Readout(h_, window.back() / scale_);
   return ClampPrediction(pred_norm * scale_);
 }
 
@@ -293,7 +282,6 @@ bool LinearStateForecaster::LoadOpaqueState(std::string_view blob) {
   // Window state never travels in the blob; the caller re-seeds it from
   // its retained ring via BeginWindow (ForecastStream::Restore).
   std::fill(h_.begin(), h_.end(), 0.0);
-  ring_.Reset({}, options_.window);
   slides_since_rebuild_ = 0;
   return true;
 }

@@ -18,10 +18,12 @@
 //
 //   h' = A h + b x_new - (A^W b) x_old
 //
-// with A^W b precomputed. The growing phase reuses the exact batch fold
-// step, so incremental-vs-batch parity is bit-exact until the window first
-// fills and stays within ~1e-9 relative after (a periodic full rebuild
-// from the ring bounds drift).
+// with A^W b precomputed; x_old is the front of the previous window. The
+// growing phase reuses the exact batch fold step, so incremental-vs-batch
+// parity is bit-exact until the window first fills and stays within ~1e-9
+// relative after (a periodic refold of the stream's window bounds drift).
+// The forecaster reads the last min(size, window) samples of the stream's
+// window, as the batch path does, and keeps only the state h.
 //
 // Unlike the closed-form forecasters, the trained readout is not derivable
 // from the retained window, so this class implements the opaque-state API:
@@ -30,6 +32,7 @@
 #ifndef SRC_FORECAST_LINEAR_STATE_H_
 #define SRC_FORECAST_LINEAR_STATE_H_
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -37,7 +40,6 @@
 #include <vector>
 
 #include "src/forecast/forecaster.h"
-#include "src/forecast/sliding.h"
 
 namespace femux {
 
@@ -65,9 +67,10 @@ class LinearStateForecaster : public Forecaster {
 
   // Incremental sliding-window protocol.
   bool SupportsIncremental() const override { return true; }
-  void BeginWindow(std::span<const double> history, std::size_t capacity) override;
-  void ObserveAppend(double value) override;
-  double ForecastNext() override;
+  void BeginWindow(std::span<const double> window, std::size_t capacity) override;
+  void ObserveAppend(std::span<const double> previous,
+                     std::span<const double> window) override;
+  double ForecastNext(std::span<const double> window) override;
 
   // Opaque learned state.
   bool HasOpaqueState() const override { return true; }
@@ -84,7 +87,10 @@ class LinearStateForecaster : public Forecaster {
   void StepState(std::vector<double>& h, double x_norm) const;
   double Readout(const std::vector<double>& h, double x_norm_last) const;
   void FoldWindow(std::span<const double> window, std::vector<double>& h) const;
-  void RebuildFromRing();
+  // The last min(size, options_.window) samples: what the batch path folds.
+  std::span<const double> OwnWindow(std::span<const double> window) const {
+    return window.last(std::min(window.size(), options_.window));
+  }
 
   Options options_;
   // Dense column-major transition matrix, a_[k * H + r] = A[r][k], and the
@@ -101,8 +107,7 @@ class LinearStateForecaster : public Forecaster {
   double wx_ = 0.0;
   double c_ = 0.0;
 
-  // Incremental window state (rebuilt from the ring, never serialized).
-  WindowBuffer ring_;
+  // Incremental state (refolded from the window, never serialized).
   std::vector<double> h_;
   std::size_t slides_since_rebuild_ = 0;
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/forecast/opaque_state.h"
-#include "src/forecast/sliding.h"
 #include "src/stats/rng.h"
 #include "src/stats/simd.h"
 
@@ -66,9 +65,6 @@ struct LstmForecaster::Impl {
   mutable std::vector<double> wh_colmajor;
   mutable bool wh_colmajor_dirty = true;
   mutable std::vector<double> z_scratch;
-
-  // Incremental serving ring of the last `window` raw samples.
-  WindowBuffer ring;
 
   void EnsureWhColmajor() const {
     const std::size_t rows = 4 * hidden;
@@ -329,26 +325,17 @@ std::unique_ptr<Forecaster> LstmForecaster::Clone() const {
   return std::make_unique<LstmForecaster>(LstmOptions(impl_->options));
 }
 
-void LstmForecaster::BeginWindow(std::span<const double> history,
+void LstmForecaster::BeginWindow(std::span<const double> window,
                                  std::size_t capacity) {
-  (void)capacity;  // The forecast window is the model's own `window`,
-                   // exactly as the batch path takes min(history, window).
-  Impl& net = *impl_;
-  if (!net.trained) {
-    TrainOnSeries(history);  // Mirrors the batch first-call training.
+  (void)capacity;  // The forecast window is the model's own `window`.
+  if (!impl_->trained) {
+    TrainOnSeries(window);  // Mirrors the batch first-call training.
   }
-  const std::size_t len = std::min(history.size(), net.options.window);
-  net.ring.Reset(history.last(len), net.options.window);
 }
 
-void LstmForecaster::ObserveAppend(double value) {
-  impl_->ring.Append(value, nullptr);
-}
-
-double LstmForecaster::ForecastNext() {
+double LstmForecaster::ForecastNext(std::span<const double> window) {
   Impl& net = *impl_;
-  std::vector<double> window;
-  net.ring.CopyTo(&window);
+  window = window.last(std::min(window.size(), net.options.window));
   if (!net.trained) {
     TrainOnSeries(window);
   }

@@ -51,14 +51,14 @@ class LstmForecaster final : public Forecaster {
 
   // Incremental serving (DESIGN.md §15). The sliding-window semantics run
   // each forecast from the zero state over the last `window` samples, so
-  // the incremental path keeps a ring of those samples and replays the
-  // forward pass — O(window * hidden^2) per epoch independent of history
-  // length, with no re-training and bit-exact agreement with the batch
-  // path. The forward pass itself runs on the SIMD GemvColMajor kernel.
+  // ForecastNext replays the forward pass over the last `window` samples
+  // of the stream's window — O(window * hidden^2) per epoch independent of
+  // history length, with no re-training and bit-exact agreement with the
+  // batch path. The forward pass itself runs on the SIMD GemvColMajor
+  // kernel. No window state is kept, so the base ObserveAppend serves.
   bool SupportsIncremental() const override { return true; }
-  void BeginWindow(std::span<const double> history, std::size_t capacity) override;
-  void ObserveAppend(double value) override;
-  double ForecastNext() override;
+  void BeginWindow(std::span<const double> window, std::size_t capacity) override;
+  double ForecastNext(std::span<const double> window) override;
 
   // Opaque learned state: all trained weights plus the normalization
   // scale, round-tripped bit-exactly. Adam moments are serving-irrelevant

@@ -116,47 +116,40 @@ void MarkovChainForecaster::ComputeBounds(std::vector<double>* out) const {
   }
 }
 
-void MarkovChainForecaster::RecountFromWindow() {
+void MarkovChainForecaster::RecountFromWindow(std::span<const double> window) {
   counts_.assign(states_ * states_, 0.0);
   level_sum_.assign(states_, 0.0);
   level_count_.assign(states_, 0.0);
-  state_ring_.clear();
   // Batch iteration order so level sums are bit-exact at recount points.
-  for (std::size_t t = 0; t < window_.size(); ++t) {
-    const double v = window_[t];
+  for (std::size_t t = 0; t < window.size(); ++t) {
+    const double v = window[t];
     const std::size_t s = StateOf(v);
-    state_ring_.push_back(static_cast<std::uint8_t>(s));
     level_sum_[s] += v;
     level_count_[s] += 1.0;
-    if (t + 1 < window_.size()) {
-      counts_[s * states_ + StateOf(window_[t + 1])] += 1.0;
+    if (t + 1 < window.size()) {
+      counts_[s * states_ + StateOf(window[t + 1])] += 1.0;
     }
   }
   slides_since_recount_ = 0;
   counts_valid_ = true;
 }
 
-void MarkovChainForecaster::BeginWindow(std::span<const double> history,
+void MarkovChainForecaster::BeginWindow(std::span<const double> window,
                                         std::size_t capacity) {
-  window_.Reset(history, capacity);
-  sorted_.clear();
-  sorted_.reserve(window_.size());
-  for (std::size_t i = 0; i < window_.size(); ++i) {
-    sorted_.push_back(window_[i]);
-  }
+  (void)capacity;  // A slide shows as previous.size() == window.size().
+  sorted_.assign(window.begin(), window.end());
   std::sort(sorted_.begin(), sorted_.end());
   counts_valid_ = false;
 }
 
-void MarkovChainForecaster::ObserveAppend(double value) {
-  const bool had_prev = window_.size() > 0;
-  const std::uint8_t prev_back_state = state_ring_.empty() ? 0 : state_ring_.back();
-  double evicted = 0.0;
-  const bool did_evict = window_.Append(value, &evicted);
+void MarkovChainForecaster::ObserveAppend(std::span<const double> previous,
+                                          std::span<const double> window) {
+  const double value = window.back();
+  const bool did_evict = window.size() == previous.size();
 
   // Keep the sorted view current (O(window) memmove, no per-call sort).
   if (did_evict) {
-    const auto it = std::lower_bound(sorted_.begin(), sorted_.end(), evicted);
+    const auto it = std::lower_bound(sorted_.begin(), sorted_.end(), previous.front());
     sorted_.erase(it);
   }
   sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), value), value);
@@ -164,7 +157,7 @@ void MarkovChainForecaster::ObserveAppend(double value) {
   if (!counts_valid_) {
     return;  // ForecastNext recounts lazily.
   }
-  if (window_.size() < states_ + 2) {
+  if (window.size() < states_ + 2) {
     counts_valid_ = false;
     return;
   }
@@ -174,62 +167,50 @@ void MarkovChainForecaster::ObserveAppend(double value) {
     counts_valid_ = false;
     return;
   }
-  if (did_evict && state_ring_.size() >= 2) {
-    const std::size_t s0 = state_ring_[0];
-    const std::size_t s1 = state_ring_[1];
+  // The bounds are those of the last recount, so StateOf gives each
+  // sample the bucket it was counted in.
+  if (did_evict && previous.size() >= 2) {
+    const std::size_t s0 = StateOf(previous[0]);
+    const std::size_t s1 = StateOf(previous[1]);
     counts_[s0 * states_ + s1] -= 1.0;
-    level_sum_[s0] -= evicted;
+    level_sum_[s0] -= previous[0];
     level_count_[s0] -= 1.0;
-    state_ring_.pop_front();
   } else if (did_evict) {
     counts_valid_ = false;
     return;
   }
   const std::size_t s_new = StateOf(value);
-  if (had_prev && !state_ring_.empty()) {
-    counts_[prev_back_state * states_ + s_new] += 1.0;
+  if (!previous.empty()) {
+    counts_[StateOf(previous.back()) * states_ + s_new] += 1.0;
   }
   level_sum_[s_new] += value;
   level_count_[s_new] += 1.0;
-  state_ring_.push_back(static_cast<std::uint8_t>(s_new));
   if (++slides_since_recount_ >= kRecountInterval) {
     counts_valid_ = false;
   }
 }
 
-double MarkovChainForecaster::ForecastNext() {
-  const std::size_t n = window_.size();
-  const auto fallback = [this, n]() {
-    return ClampPrediction(n == 0 ? 0.0 : window_.back());
+double MarkovChainForecaster::ForecastNext(std::span<const double> window) {
+  const std::size_t n = window.size();
+  const auto fallback = [window, n]() {
+    return ClampPrediction(n == 0 ? 0.0 : window.back());
   };
   if (n < states_ + 2) {
     return fallback();
   }
   // Variance(window) == 0 gate: distinct extrema imply positive variance;
-  // constant windows replicate the batch computation exactly.
-  if (sorted_.front() == sorted_.back()) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sum += window_[i];
-    }
-    const double mu = sum / static_cast<double>(n);
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = window_[i] - mu;
-      acc += d * d;
-    }
-    if (acc / static_cast<double>(n - 1) == 0.0) {
-      return fallback();
-    }
+  // constant windows run the batch computation itself.
+  if (sorted_.front() == sorted_.back() && Variance(window) == 0.0) {
+    return fallback();
   }
   if (!counts_valid_) {
     ComputeBounds(&bounds_);
-    RecountFromWindow();
+    RecountFromWindow(window);
   }
 
   // Normalize (with the batch path's add-one smoothing) and take one
   // propagation step from the current state's one-hot distribution.
-  const std::size_t cur = state_ring_.back();
+  const std::size_t cur = StateOf(window.back());
   double total = 0.0;
   for (std::size_t u = 0; u < states_; ++u) {
     total += counts_[cur * states_ + u] + 1.0;

@@ -7,11 +7,9 @@
 #define SRC_FORECAST_MARKOV_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "src/forecast/forecaster.h"
-#include "src/forecast/sliding.h"
 
 namespace femux {
 
@@ -27,33 +25,34 @@ class MarkovChainForecaster final : public Forecaster {
   // Incremental protocol: the window's sorted order is maintained under
   // insert/erase (replacing the per-call full sort), and transition counts
   // plus per-state level sums update incrementally as bucket pairs slide
-  // in/out. When the quantile bounds move (so every sample's bucket may
-  // change) the counts are recounted from the window in batch order. Parity
-  // bound vs the batch path: counts are exact (small integers), level sums
-  // are within ~1e-9 relative between recounts.
+  // in/out. While the counts are valid the quantile bounds have not moved
+  // since the last recount, so a sample's bucket is StateOf(sample) and
+  // none is stored. When the bounds move (so every sample's bucket may
+  // change) the counts are recounted from the window in batch order.
+  // Parity bound vs the batch path: counts are exact (small integers),
+  // level sums are within ~1e-9 relative between recounts.
   bool SupportsIncremental() const override { return true; }
-  void BeginWindow(std::span<const double> history, std::size_t capacity) override;
-  void ObserveAppend(double value) override;
-  double ForecastNext() override;
+  void BeginWindow(std::span<const double> window, std::size_t capacity) override;
+  void ObserveAppend(std::span<const double> previous,
+                     std::span<const double> window) override;
+  double ForecastNext(std::span<const double> window) override;
 
   std::size_t states() const { return states_; }
 
  private:
   std::size_t StateOf(double v) const;
   void ComputeBounds(std::vector<double>* out) const;
-  void RecountFromWindow();
+  void RecountFromWindow(std::span<const double> window);
 
   std::size_t states_;
 
   // Incremental sliding-window state (DESIGN.md §7).
-  WindowBuffer window_;
   std::vector<double> sorted_;       // Window values, ascending.
   std::vector<double> bounds_;       // Quantile bucket upper bounds.
   std::vector<double> bounds_scratch_;
   std::vector<double> counts_;       // states x states raw pair counts.
   std::vector<double> level_sum_;
   std::vector<double> level_count_;
-  std::deque<std::uint8_t> state_ring_;  // Bucket of each window sample.
   std::size_t slides_since_recount_ = 0;
   bool counts_valid_ = false;
 };

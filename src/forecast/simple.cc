@@ -3,26 +3,28 @@
 #include <algorithm>
 
 namespace femux {
+namespace {
 
-void ReactiveWindow::Begin(std::span<const double> history, std::size_t window) {
-  buffer_.assign(window == 0 ? 1 : window, 0.0);
-  start_ = 0;
-  count_ = std::min(buffer_.size(), history.size());
-  for (std::size_t i = 0; i < count_; ++i) {
-    buffer_[i] = history[history.size() - count_ + i];
+// Mean of the last min(window, history.size()) samples, 0 on no history.
+double MeanOfLast(std::span<const double> history, std::size_t window) {
+  const std::span<const double> tail = history.last(std::min(window, history.size()));
+  double sum = 0.0;
+  for (double v : tail) {
+    sum += v;
   }
+  return ClampPrediction(tail.empty() ? 0.0 : sum / static_cast<double>(tail.size()));
 }
 
-void ReactiveWindow::Append(double value) {
-  if (buffer_.empty()) buffer_.assign(1, 0.0);
-  if (count_ < buffer_.size()) {
-    buffer_[(start_ + count_) % buffer_.size()] = value;
-    ++count_;
-  } else {
-    buffer_[start_] = value;
-    start_ = (start_ + 1) % buffer_.size();
+// Max of the last min(window, history.size()) samples and 0.
+double MaxOfLast(std::span<const double> history, std::size_t window) {
+  double value = 0.0;
+  for (double v : history.last(std::min(window, history.size()))) {
+    value = std::max(value, v);
   }
+  return ClampPrediction(value);
 }
+
+}  // namespace
 
 MovingAverageForecaster::MovingAverageForecaster(std::size_t window)
     : window_(window == 0 ? 1 : window),
@@ -30,40 +32,15 @@ MovingAverageForecaster::MovingAverageForecaster(std::size_t window)
 
 std::vector<double> MovingAverageForecaster::Forecast(std::span<const double> history,
                                                       std::size_t horizon) {
-  double value = 0.0;
-  if (!history.empty()) {
-    const std::size_t n = std::min(window_, history.size());
-    double sum = 0.0;
-    for (std::size_t i = history.size() - n; i < history.size(); ++i) {
-      sum += history[i];
-    }
-    value = sum / static_cast<double>(n);
-  }
-  return std::vector<double>(horizon, ClampPrediction(value));
+  return std::vector<double>(horizon, MeanOfLast(history, window_));
 }
 
 std::unique_ptr<Forecaster> MovingAverageForecaster::Clone() const {
   return std::make_unique<MovingAverageForecaster>(window_);
 }
 
-void MovingAverageForecaster::BeginWindow(std::span<const double> history,
-                                          std::size_t capacity) {
-  (void)capacity;  // The forecaster never looks past its own window.
-  recent_.Begin(history, window_);
-}
-
-void MovingAverageForecaster::ObserveAppend(double value) {
-  recent_.Append(value);
-}
-
-double MovingAverageForecaster::ForecastNext() {
-  double value = 0.0;
-  if (recent_.size() > 0) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < recent_.size(); ++i) sum += recent_.At(i);
-    value = sum / static_cast<double>(recent_.size());
-  }
-  return ClampPrediction(value);
+double MovingAverageForecaster::ForecastNext(std::span<const double> window) {
+  return MeanOfLast(window, window_);
 }
 
 KeepAliveForecaster::KeepAliveForecaster(std::size_t window_minutes)
@@ -72,34 +49,15 @@ KeepAliveForecaster::KeepAliveForecaster(std::size_t window_minutes)
 
 std::vector<double> KeepAliveForecaster::Forecast(std::span<const double> history,
                                                   std::size_t horizon) {
-  double value = 0.0;
-  if (!history.empty()) {
-    const std::size_t n = std::min(window_, history.size());
-    for (std::size_t i = history.size() - n; i < history.size(); ++i) {
-      value = std::max(value, history[i]);
-    }
-  }
-  return std::vector<double>(horizon, ClampPrediction(value));
+  return std::vector<double>(horizon, MaxOfLast(history, window_));
 }
 
 std::unique_ptr<Forecaster> KeepAliveForecaster::Clone() const {
   return std::make_unique<KeepAliveForecaster>(window_);
 }
 
-void KeepAliveForecaster::BeginWindow(std::span<const double> history,
-                                      std::size_t capacity) {
-  (void)capacity;
-  recent_.Begin(history, window_);
-}
-
-void KeepAliveForecaster::ObserveAppend(double value) { recent_.Append(value); }
-
-double KeepAliveForecaster::ForecastNext() {
-  double value = 0.0;
-  for (std::size_t i = 0; i < recent_.size(); ++i) {
-    value = std::max(value, recent_.At(i));
-  }
-  return ClampPrediction(value);
+double KeepAliveForecaster::ForecastNext(std::span<const double> window) {
+  return MaxOfLast(window, window_);
 }
 
 }  // namespace femux

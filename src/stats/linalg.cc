@@ -2,6 +2,7 @@
 
 #include "src/stats/simd.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
@@ -61,14 +62,33 @@ std::vector<double> Matrix::Multiply(const std::vector<double>& v) const {
 }
 
 std::vector<double> CholeskySolve(Matrix a, std::vector<double> b, double jitter) {
-  const std::size_t n = a.rows();
-  assert(a.cols() == n && b.size() == n);
+  assert(a.cols() == a.rows() && b.size() == a.rows());
+  CholeskyWorkspace ws{std::move(a.data()), {}, {}};
+  std::vector<double> x(b.size());
+  CholeskySolveInto(ws, b, x, jitter);
+  return x;
+}
+
+void CholeskySolveInto(CholeskyWorkspace& ws, std::span<const double> b,
+                       std::span<double> x, double jitter) {
+  const std::size_t n = b.size();
+  assert(ws.a.size() == n * n && x.size() == n);
+  const auto a = [&ws, n](std::size_t i, std::size_t j) -> double& {
+    return ws.a[i * n + j];
+  };
+  // Every entry of l and y is written before it is read, so neither needs
+  // clearing between attempts.
+  ws.l.resize(n * n);
+  ws.y.resize(n);
+  const auto l = [&ws, n](std::size_t i, std::size_t j) -> double& {
+    return ws.l[i * n + j];
+  };
+  std::vector<double>& y = ws.y;
 
   // Attempt the decomposition, escalating the ridge until every pivot is
   // positive. Regression callers pass well-scaled designs, so this loop
   // almost always succeeds on the first try.
   for (int attempt = 0; attempt < 8; ++attempt) {
-    Matrix l(n, n);
     bool ok = true;
     for (std::size_t i = 0; i < n && ok; ++i) {
       for (std::size_t j = 0; j <= i; ++j) {
@@ -95,7 +115,6 @@ std::vector<double> CholeskySolve(Matrix a, std::vector<double> b, double jitter
       continue;
     }
     // Forward substitution: L y = b.
-    std::vector<double> y(n);
     for (std::size_t i = 0; i < n; ++i) {
       double sum = b[i];
       for (std::size_t k = 0; k < i; ++k) {
@@ -104,7 +123,6 @@ std::vector<double> CholeskySolve(Matrix a, std::vector<double> b, double jitter
       y[i] = sum / l(i, i);
     }
     // Back substitution: L^T x = y.
-    std::vector<double> x(n);
     for (std::size_t ii = n; ii-- > 0;) {
       double sum = y[ii];
       for (std::size_t k = ii + 1; k < n; ++k) {
@@ -112,10 +130,10 @@ std::vector<double> CholeskySolve(Matrix a, std::vector<double> b, double jitter
       }
       x[ii] = sum / l(ii, ii);
     }
-    return x;
+    return;
   }
   // Hopeless matrix: return zeros so callers degrade to a null model.
-  return std::vector<double>(n, 0.0);
+  std::fill(x.begin(), x.end(), 0.0);
 }
 
 std::vector<double> GaussianSolve(Matrix a, std::vector<double> b) {

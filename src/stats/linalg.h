@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace femux {
@@ -50,6 +51,20 @@ class Matrix {
 // encounters a non-positive pivot, which makes near-singular regression
 // designs (e.g. constant traffic histories) solvable. Returns the solution.
 std::vector<double> CholeskySolve(Matrix a, std::vector<double> b, double jitter = 1e-9);
+
+// Caller-owned storage for CholeskySolveInto; allocation-free once it has
+// solved a system of the same size.
+struct CholeskyWorkspace {
+  std::vector<double> a;  // The n x n row-major system; gains the jitter.
+  std::vector<double> l;  // Cholesky factor.
+  std::vector<double> y;  // Forward-substitution result.
+};
+
+// CholeskySolve in `ws`: solves ws.a x = b into `x` (both of size n, with
+// ws.a filled by the caller). The same operations in the same order, so
+// the two forms return the same bits.
+void CholeskySolveInto(CholeskyWorkspace& ws, std::span<const double> b,
+                       std::span<double> x, double jitter = 1e-9);
 
 // Solves A x = b for general square A using partial-pivot Gaussian
 // elimination. Returns empty vector if A is singular to working precision.

@@ -54,19 +54,22 @@ class FlakyForecaster final : public Forecaster {
   }
   std::size_t preferred_history() const override { return kWindow; }
   bool SupportsIncremental() const override { return true; }
-  void BeginWindow(std::span<const double> history, std::size_t capacity) override {
-    window_.assign(history.begin(), history.end());
+  void BeginWindow(std::span<const double> window, std::size_t capacity) override {
+    window_.assign(window.begin(), window.end());
     capacity_ = capacity;
     MaybeThrow(Site::kBeginWindow);
   }
-  void ObserveAppend(double value) override {
-    window_.push_back(value);
+  void ObserveAppend(std::span<const double> previous,
+                     std::span<const double> window) override {
+    (void)previous;
+    window_.push_back(window.back());
     if (window_.size() > capacity_) {
       window_.erase(window_.begin());
     }
     MaybeThrow(Site::kObserveAppend);
   }
-  double ForecastNext() override {
+  double ForecastNext(std::span<const double> window) override {
+    (void)window;  // Forecasts from its own copy, so a stale one shows.
     ++calls_;  // Refit-counter stand-in: only changes on a throw here.
     MaybeThrow(Site::kForecastNext);
     return Weighted();
@@ -211,15 +214,15 @@ class CountingForecaster final : public Forecaster {
     return std::make_unique<CountingForecaster>(incremental_);
   }
   bool SupportsIncremental() const override { return incremental_; }
-  void BeginWindow(std::span<const double> history, std::size_t) override {
+  void BeginWindow(std::span<const double> window, std::size_t) override {
     ++begins;
-    last_ = history.back();
+    last_ = window.back();
   }
-  void ObserveAppend(double value) override {
+  void ObserveAppend(std::span<const double>, std::span<const double> window) override {
     ++appends;
-    last_ = value;
+    last_ = window.back();
   }
-  double ForecastNext() override {
+  double ForecastNext(std::span<const double>) override {
     ++nexts;
     return last_;
   }

@@ -1,8 +1,8 @@
 // Bit-exact incremental parity for the reactive forecasters (moving
 // average, keep-alive). Unlike the fitted forecasters in
 // incremental_parity_test.cc — which carry a <= 1e-9 reassociation bound —
-// the ReactiveWindow ring replays the batch path's exact forward scan, so
-// ForecastNext() must equal Forecast(window, 1)[0] to the bit. These two
+// ForecastNext() runs the batch path's exact forward scan over the
+// stream's window, so it must equal Forecast(window, 1)[0] to the bit. These two
 // forecasters appear in the committed fleet goldens, which pin bit
 // exactness; any drift here would silently break the golden determinism
 // gate (tests/sim/fleet_determinism_test.cc).
@@ -100,7 +100,7 @@ TEST(SimpleIncrementalTest, KeepAliveBitExactAcrossWindows) {
 
 TEST(SimpleIncrementalTest, ShortHistoryAndRingWrap) {
   // history_len below the window forces the partial-window branch, and a
-  // long series slides the ring through many wraps of its circular buffer.
+  // long series slides the stream's ring through many compactions.
   const std::vector<double> series = BurstySeries(2000, 99);
   ExpectBitExact(MovingAverageForecaster(10), series, 4, 0);
   ExpectBitExact(KeepAliveForecaster(10), series, 4, 0);
@@ -108,27 +108,31 @@ TEST(SimpleIncrementalTest, ShortHistoryAndRingWrap) {
 
 TEST(SimpleIncrementalTest, BeginWindowReseedsMidSeries) {
   // A serving stream can re-anchor mid-series (checkpoint restore,
-  // Reset): BeginWindow on a later prefix must leave the ring in the same
-  // state as a fresh stream started there.
+  // Reset): BeginWindow on a later prefix must leave the forecaster in the
+  // same state as a fresh one started there.
   const std::vector<double> series = BurstySeries(300, 5);
-  MovingAverageForecaster continued(3);
+  static constexpr std::size_t kCapacity = 64;
   const std::span<const double> all(series);
-  continued.BeginWindow(all.subspan(0, 50), 64);
+  const auto window = [all](std::size_t t) {
+    return all.first(t).last(std::min(t, kCapacity));
+  };
+  MovingAverageForecaster continued(3);
+  continued.BeginWindow(window(50), kCapacity);
   for (std::size_t t = 50; t < 200; ++t) {
-    continued.ObserveAppend(series[t]);
+    continued.ObserveAppend(window(t), window(t + 1));
   }
   // Re-anchor at t=200 with the last 64 samples, as a restore would.
-  continued.BeginWindow(all.subspan(200 - 64, 64), 64);
+  continued.BeginWindow(window(200), kCapacity);
 
   MovingAverageForecaster fresh(3);
-  fresh.BeginWindow(all.subspan(200 - 64, 64), 64);
+  fresh.BeginWindow(window(200), kCapacity);
 
   for (std::size_t t = 200; t < series.size(); ++t) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(continued.ForecastNext()),
-              std::bit_cast<std::uint64_t>(fresh.ForecastNext()))
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(continued.ForecastNext(window(t))),
+              std::bit_cast<std::uint64_t>(fresh.ForecastNext(window(t))))
         << "t=" << t;
-    continued.ObserveAppend(series[t]);
-    fresh.ObserveAppend(series[t]);
+    continued.ObserveAppend(window(t), window(t + 1));
+    fresh.ObserveAppend(window(t), window(t + 1));
   }
 }
 

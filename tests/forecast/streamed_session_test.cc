@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "src/forecast/ar.h"
@@ -86,25 +87,29 @@ std::vector<double> RingRolling(const Forecaster& prototype,
 }
 
 // The protocol driven by hand: one BeginWindow, then one ObserveAppend and
-// one ForecastNext per sample; batch forecasters get the windowed prefix.
-// This is the call sequence both stream paths above must reproduce.
+// one ForecastNext per sample, all handed windowed prefixes; batch
+// forecasters get Forecast() on the windowed prefix. This is the call
+// sequence both stream paths above must reproduce.
 std::vector<double> ProtocolRolling(const Forecaster& prototype,
                                     std::span<const double> series) {
   const std::unique_ptr<Forecaster> forecaster = prototype.Clone();
   const std::size_t window = EffectiveWindow(*forecaster);
+  const auto windowed = [&](std::size_t t) {
+    return series.first(t).last(std::min(t, window));
+  };
   std::vector<double> out;
   out.reserve(series.size());
   for (std::size_t t = 1; t <= series.size(); ++t) {
     if (!forecaster->SupportsIncremental()) {
-      out.push_back(ForecastOne(*forecaster, series.first(t).last(std::min(t, window))));
+      out.push_back(ForecastOne(*forecaster, windowed(t)));
       continue;
     }
     if (t == 1) {
-      forecaster->BeginWindow(series.first(1), window);
+      forecaster->BeginWindow(windowed(1), window);
     } else {
-      forecaster->ObserveAppend(series[t - 1]);
+      forecaster->ObserveAppend(windowed(t - 1), windowed(t));
     }
-    out.push_back(forecaster->ForecastNext());
+    out.push_back(forecaster->ForecastNext(windowed(t)));
   }
   return out;
 }
@@ -209,6 +214,158 @@ TEST(StreamedSessionTest, WarmHandoffMatchesColdReseedAtSwitchPoint) {
               std::bit_cast<std::uint64_t>(streamed[t - 1]))
         << "t=" << t << " ref=" << ref << " streamed=" << streamed[t - 1];
   }
+}
+
+// Records every span the stream hands it, so the window contract can be
+// checked call by call.
+class RecordingForecaster final : public Forecaster {
+ public:
+  enum class Call { kBegin, kAppend, kNext };
+  struct Record {
+    Call call;
+    std::vector<double> previous;  // ObserveAppend only.
+    std::vector<double> window;
+  };
+
+  explicit RecordingForecaster(std::size_t history) : history_(history) {}
+
+  std::string_view name() const override { return "recording"; }
+  std::vector<double> Forecast(std::span<const double> history,
+                               std::size_t horizon) override {
+    return std::vector<double>(horizon, history.empty() ? 0.0 : history.back());
+  }
+  std::unique_ptr<Forecaster> Clone() const override {
+    return std::make_unique<RecordingForecaster>(history_);
+  }
+  std::size_t preferred_history() const override { return history_; }
+  bool SupportsIncremental() const override { return true; }
+  void BeginWindow(std::span<const double> window, std::size_t capacity) override {
+    EXPECT_EQ(capacity, history_);
+    records.push_back({Call::kBegin, {}, Copy(window)});
+  }
+  void ObserveAppend(std::span<const double> previous,
+                     std::span<const double> window) override {
+    records.push_back({Call::kAppend, Copy(previous), Copy(window)});
+  }
+  double ForecastNext(std::span<const double> window) override {
+    records.push_back({Call::kNext, {}, Copy(window)});
+    return window.back();
+  }
+
+  std::vector<Record> records;
+
+ private:
+  static std::vector<double> Copy(std::span<const double> s) {
+    return std::vector<double>(s.begin(), s.end());
+  }
+  std::size_t history_;
+};
+
+// The contract the forecasters rely on: ObserveAppend's `previous` is the
+// window of the forecaster's last BeginWindow or ObserveAppend, `window`
+// is `previous` plus the newest sample (without previous.front() once
+// previous is at capacity), and ForecastNext sees that same window.
+void ExpectWindowContract(const RecordingForecaster& forecaster,
+                          std::size_t capacity) {
+  using Call = RecordingForecaster::Call;
+  const std::vector<double>* last = nullptr;
+  for (std::size_t i = 0; i < forecaster.records.size(); ++i) {
+    SCOPED_TRACE(i);
+    const RecordingForecaster::Record& record = forecaster.records[i];
+    EXPECT_FALSE(record.window.empty());
+    EXPECT_LE(record.window.size(), capacity);
+    if (record.call != Call::kBegin) {
+      ASSERT_NE(last, nullptr) << "no BeginWindow before the first slide";
+    }
+    if (record.call == Call::kAppend) {
+      EXPECT_EQ(record.previous, *last);
+      std::vector<double> expected = record.previous;
+      if (expected.size() == capacity) {
+        expected.erase(expected.begin());
+      }
+      expected.push_back(record.window.back());
+      EXPECT_EQ(record.window, expected);
+    }
+    if (record.call == Call::kNext) {
+      EXPECT_EQ(record.window, *last);
+    } else {
+      last = &record.window;
+    }
+  }
+}
+
+// The stream hands each call a view of the samples it retains. Drives
+// growth, slides past several ring compactions, a restore from a tail
+// shorter than the window, a reset, a two-sample gap and a mid-stream Bind
+// of a forecaster with a longer window.
+TEST(StreamedSessionTest, ForecastersReadTheStreamWindowOnEveryCall) {
+  constexpr std::size_t kFirst = 8;
+  constexpr std::size_t kSecond = 12;
+  const auto series = RandomSeries(160, 5);
+  std::vector<double> fed;  // What the stream was given, restores included.
+  RecordingForecaster first(kFirst);
+  RecordingForecaster second(kSecond);
+  ForecastStream stream(4);
+  std::size_t next = 0;
+  const auto append = [&] {
+    stream.Append(series[next]);
+    fed.push_back(series[next]);
+    ++next;
+  };
+  // Each forecast's window is the newest samples fed, and grows to the
+  // capacity unless a restore or a bind left fewer in the ring.
+  const auto forecast = [&](const RecordingForecaster& bound) {
+    stream.Forecast();
+    const std::vector<double>& window = bound.records.back().window;
+    EXPECT_TRUE(std::equal(window.begin(), window.end(), fed.end() - window.size()));
+  };
+
+  stream.Bind(first);
+  EXPECT_TRUE(first.records.empty());  // Nothing to seed from yet.
+  for (int n = 0; n < 40; ++n) {  // Growth, then compactions at 16, 24, ...
+    append();
+    forecast(first);
+    EXPECT_EQ(first.records.back().window.size(),
+              std::min<std::size_t>(next, kFirst));
+  }
+  const std::span<const double> tail = std::span<const double>(series).first(next).last(5);
+  fed.assign(tail.begin(), tail.end());
+  stream.Restore(tail, next);
+  for (int n = 0; n < 6; ++n) {  // Grows from the 5-sample tail to capacity.
+    append();
+    forecast(first);
+    EXPECT_EQ(first.records.back().window.size(), std::min<std::size_t>(6 + n, kFirst));
+  }
+  stream.Reset();
+  append();
+  forecast(first);
+  append();
+  append();  // Two samples arrive at once: a re-seed.
+  forecast(first);
+  for (int n = 0; n < 20; ++n) {
+    append();
+    forecast(first);
+  }
+  stream.Bind(second);  // Seeds at once from the retained ring.
+  ASSERT_EQ(second.records.size(), 1u);
+  for (int n = 0; n < 40; ++n) {  // Grows the ring to 24, then compacts.
+    append();
+    forecast(second);
+  }
+  EXPECT_EQ(second.records.back().window.size(), kSecond);
+  append();
+  append();
+  forecast(second);
+
+  using Call = RecordingForecaster::Call;
+  const auto begins = [](const RecordingForecaster& f) {
+    return std::count_if(f.records.begin(), f.records.end(),
+                         [](const auto& r) { return r.call == Call::kBegin; });
+  };
+  EXPECT_EQ(begins(first), 4);  // First forecast, restore, reset, gap.
+  EXPECT_EQ(begins(second), 2);  // Bind, gap.
+  ExpectWindowContract(first, kFirst);
+  ExpectWindowContract(second, kSecond);
 }
 
 // Repeated calls at the same observed count (FemuxPolicy forecasts once
