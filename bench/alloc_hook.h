@@ -3,7 +3,8 @@
 // alloc_hook.cc replaces the global operator new/delete family with
 // malloc/free wrappers that bump a relaxed atomic counter per allocation.
 // It is linked ONLY into binaries that opt in via target_sources (today:
-// bench_fleet_scale and forecast_steady_state_alloc_test) — replacing
+// bench_fleet_scale, forecast_steady_state_alloc_test and
+// serve_checkpoint_alloc_test) — replacing
 // global new process-wide is exactly the blast radius a gate binary wants
 // and a library must never impose.
 //

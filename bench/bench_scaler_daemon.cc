@@ -14,14 +14,18 @@
 //    stats plus the complete health-counter block.
 //
 // Per-component breakdown (Li et al.-style): mean per-tick time in ingest
-// (queue drain + validation), decide (the ladder), and checkpoint.
+// (queue drain + validation), decide (the ladder), and checkpoint (on the
+// tick: the snapshot copy; on the writer thread: formatting and writing).
 //
 // Gates (exit code != 0 on failure):
 //   - no lost apps in either phase (every tenant still registered),
 //   - faults off: every decision comes from the forecast rung,
 //   - faults on: every decision lands on exactly one ladder rung, and
 //     degraded + quarantined decisions stay under 20% of the total,
-//   - faults on: periodic checkpoints ran and the last one restores.
+//   - faults on: periodic checkpoints ran and the last one restores,
+//   - faults on: the tick spends at most 0.25x the writer's time on
+//     checkpoints (checkpoint_us <= 0.25 * checkpoint_write_us; both are
+//     measured in the same run, so the box's speed cancels out).
 //
 // Usage: bench_scaler_daemon [--smoke] [--json=PATH]
 #include <algorithm>
@@ -112,6 +116,7 @@ struct PhaseResult {
   double ingest_us_per_tick = 0.0;
   double decide_us_per_tick = 0.0;
   double checkpoint_us_per_tick = 0.0;
+  double checkpoint_write_us_per_tick = 0.0;
   DaemonCounters counters;
   std::size_t apps = 0;
   std::string health_json;
@@ -155,6 +160,8 @@ PhaseResult RunPhase(const ScalerDaemonOptions& options,
     result.ingest_us_per_tick = result.counters.ingest_us / tick_count;
     result.decide_us_per_tick = result.counters.decide_us / tick_count;
     result.checkpoint_us_per_tick = result.counters.checkpoint_us / tick_count;
+    result.checkpoint_write_us_per_tick =
+        result.counters.checkpoint_write_us / tick_count;
   }
   result.apps = daemon.app_count();
   result.health_json = DaemonHealthJson(daemon);
@@ -167,10 +174,10 @@ std::string PhaseJson(const PhaseResult& r) {
                 "{\"p50_us\": %.3f, \"p99_us\": %.3f, \"decisions_per_sec\": %.1f, "
                 "\"wall_seconds\": %.4f, \"ingest_us_per_tick\": %.2f, "
                 "\"decide_us_per_tick\": %.2f, \"checkpoint_us_per_tick\": %.2f, "
-                "\"health\": ",
+                "\"checkpoint_write_us_per_tick\": %.2f, \"health\": ",
                 r.p50_us, r.p99_us, r.decisions_per_sec, r.wall_seconds,
                 r.ingest_us_per_tick, r.decide_us_per_tick,
-                r.checkpoint_us_per_tick);
+                r.checkpoint_us_per_tick, r.checkpoint_write_us_per_tick);
   return std::string(buffer) + r.health_json + "}";
 }
 
@@ -229,9 +236,10 @@ int main(int argc, char** argv) {
               "%.0f decisions/s\n",
               faulty.apps, static_cast<unsigned long long>(ticks), faulty.p50_us,
               faulty.p99_us, faulty.decisions_per_sec);
-  std::printf("  per tick: ingest %.1f us  decide %.1f us  checkpoint %.1f us\n",
+  std::printf("  per tick: ingest %.1f us  decide %.1f us  checkpoint %.1f us "
+              "(writer %.1f us)\n",
               faulty.ingest_us_per_tick, faulty.decide_us_per_tick,
-              faulty.checkpoint_us_per_tick);
+              faulty.checkpoint_us_per_tick, faulty.checkpoint_write_us_per_tick);
   const DaemonCounters& fc = faulty.counters;
   std::printf("  health: %llu degraded (%llu last-good, %llu moving-avg), "
               "%llu quarantined decisions, %llu retries, %llu deadline misses, "
@@ -270,12 +278,23 @@ int main(int argc, char** argv) {
       static_cast<double>(faulty_off_rung) <= 0.20 * static_cast<double>(fc.decisions);
   const bool checkpoint_ok =
       fc.checkpoints + fc.checkpoint_failures > 0 && restored > 0;
+  // The tick copies the snapshot; the writer formats and writes it.
+  constexpr double kTickShareLimit = 0.25;
+  const double tick_share =
+      fc.checkpoint_write_us > 0.0 ? fc.checkpoint_us / fc.checkpoint_write_us : 0.0;
+  const bool offload_ok =
+      fc.checkpoint_write_us > 0.0 && tick_share <= kTickShareLimit;
+  std::printf("  checkpoint cost: tick %.1f us, writer %.1f us (tick/writer %.3f "
+              "<= %.2f), %llu waits\n",
+              fc.checkpoint_us, fc.checkpoint_write_us, tick_share, kTickShareLimit,
+              static_cast<unsigned long long>(fc.checkpoint_waits));
   std::printf("gates: apps %s  clean-run %s  ladder %s  degradation %s  "
-              "checkpoint %s\n",
+              "checkpoint %s  checkpoint-offload %s\n",
               apps_ok ? "PASS" : "FAIL", clean_ok ? "PASS" : "FAIL",
               ladder_ok ? "PASS" : "FAIL", degradation_ok ? "PASS" : "FAIL",
-              checkpoint_ok ? "PASS" : "FAIL");
-  const bool ok = apps_ok && clean_ok && ladder_ok && degradation_ok && checkpoint_ok;
+              checkpoint_ok ? "PASS" : "FAIL", offload_ok ? "PASS" : "FAIL");
+  const bool ok = apps_ok && clean_ok && ladder_ok && degradation_ok &&
+                  checkpoint_ok && offload_ok;
 
   if (!args.json_path.empty()) {
     std::ofstream out(args.json_path);
@@ -296,6 +315,10 @@ int main(int argc, char** argv) {
         << ", \"ladder\": " << (ladder_ok ? "true" : "false")
         << ", \"degradation\": " << (degradation_ok ? "true" : "false")
         << ", \"checkpoint\": " << (checkpoint_ok ? "true" : "false")
+        << ", \"checkpoint_offload\": {\"checkpoint_us\": " << fc.checkpoint_us
+        << ", \"checkpoint_write_us\": " << fc.checkpoint_write_us
+        << ", \"tick_share\": " << tick_share << ", \"limit\": " << kTickShareLimit
+        << ", \"ok\": " << (offload_ok ? "true" : "false") << "}"
         << ", \"all\": " << (ok ? "true" : "false") << "}\n"
         << "}\n";
     std::printf("wrote %s\n", args.json_path.c_str());

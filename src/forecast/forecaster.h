@@ -59,8 +59,9 @@ class Forecaster {
   // Forecast(window, 1)[0] on the same window within the forecaster's
   // documented parity bound (bit-identical where the math preserves
   // association order, <= ~1e-9 relative where add/remove inherently
-  // reassociates sums). Opt in only when the state is cheaper than a sweep
-  // of the window: SES and Holt do not (DESIGN.md §7).
+  // reassociates sums). Keep state only when it is cheaper than a sweep
+  // of the window: SES, Holt, moving average and keep-alive keep none, and
+  // their ForecastNext() sweeps `window` (DESIGN.md §7).
   //
   // Callers drive the protocol through ForecastStream below, which owns the
   // window and hands it to every call: `window` is the last

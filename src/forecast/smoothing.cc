@@ -84,25 +84,28 @@ void SweepHolt(std::span<const double> y, double* best_level,
 
 std::vector<double> ExponentialSmoothingForecaster::Forecast(
     std::span<const double> history, std::size_t horizon) {
-  if (history.empty()) {
-    return std::vector<double>(horizon, 0.0);
-  }
-  if (history.size() == 1) {
-    return std::vector<double>(horizon, ClampPrediction(history.front()));
-  }
   // SES is flat beyond one step.
-  return std::vector<double>(horizon, ClampPrediction(SweepSes(history)));
+  return std::vector<double>(horizon, ForecastNext(history));
 }
 
 std::unique_ptr<Forecaster> ExponentialSmoothingForecaster::Clone() const {
   return std::make_unique<ExponentialSmoothingForecaster>();
 }
 
+double ExponentialSmoothingForecaster::ForecastNext(std::span<const double> window) {
+  if (window.empty()) {
+    return 0.0;
+  }
+  if (window.size() == 1) {
+    return ClampPrediction(window.front());
+  }
+  return ClampPrediction(SweepSes(window));
+}
+
 std::vector<double> HoltForecaster::Forecast(std::span<const double> history,
                                              std::size_t horizon) {
   if (history.size() < 3) {
-    const double last = history.empty() ? 0.0 : history.back();
-    return std::vector<double>(horizon, ClampPrediction(last));
+    return std::vector<double>(horizon, ForecastNext(history));
   }
   double best_level = 0.0;
   double best_trend = 0.0;
@@ -117,6 +120,18 @@ std::vector<double> HoltForecaster::Forecast(std::span<const double> history,
 
 std::unique_ptr<Forecaster> HoltForecaster::Clone() const {
   return std::make_unique<HoltForecaster>();
+}
+
+double HoltForecaster::ForecastNext(std::span<const double> window) {
+  if (window.size() < 3) {
+    const double last = window.empty() ? 0.0 : window.back();
+    return ClampPrediction(last);
+  }
+  double best_level = 0.0;
+  double best_trend = 0.0;
+  SweepHolt(window, &best_level, &best_trend);
+  // Forecast()'s h = 1 term: 1.0 * best_trend is best_trend exactly.
+  return ClampPrediction(best_level + best_trend);
 }
 
 }  // namespace femux

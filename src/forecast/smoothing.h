@@ -10,6 +10,10 @@
 // sweep over a 120-sample window costs about as much as maintaining
 // sliding folds of the grid did, and keeping the working set to the
 // caller's window is what makes it faster at fleet scale (DESIGN.md §7).
+// ForecastNext() is the one-step forecast, bit-identical to
+// Forecast(window, 1)[0] without the result vector (SES's Forecast()
+// repeats it; Holt's takes its short-window branch from it); the base
+// BeginWindow/ObserveAppend no-ops serve.
 #ifndef SRC_FORECAST_SMOOTHING_H_
 #define SRC_FORECAST_SMOOTHING_H_
 
@@ -27,6 +31,9 @@ class ExponentialSmoothingForecaster final : public Forecaster {
   std::vector<double> Forecast(std::span<const double> history,
                                std::size_t horizon) override;
   std::unique_ptr<Forecaster> Clone() const override;
+
+  bool SupportsIncremental() const override { return true; }
+  double ForecastNext(std::span<const double> window) override;
 };
 
 class HoltForecaster final : public Forecaster {
@@ -37,6 +44,9 @@ class HoltForecaster final : public Forecaster {
   std::vector<double> Forecast(std::span<const double> history,
                                std::size_t horizon) override;
   std::unique_ptr<Forecaster> Clone() const override;
+
+  bool SupportsIncremental() const override { return true; }
+  double ForecastNext(std::span<const double> window) override;
 };
 
 }  // namespace femux

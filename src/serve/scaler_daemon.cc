@@ -74,12 +74,18 @@ void AccumulateCounters(DaemonCounters* total, const DaemonCounters& part) {
   total->checkpoints += part.checkpoints;
   total->checkpoint_failures += part.checkpoint_failures;
   total->checkpoint_bytes += part.checkpoint_bytes;
+  total->checkpoint_waits += part.checkpoint_waits;
   total->restored_apps += part.restored_apps;
   total->restore_incomplete += part.restore_incomplete;
   total->ticks += part.ticks;
   total->ingest_us += part.ingest_us;
   total->decide_us += part.decide_us;
   total->checkpoint_us += part.checkpoint_us;
+  total->checkpoint_write_us += part.checkpoint_write_us;
+}
+
+double MicrosSince(Clock::time_point since) {
+  return std::chrono::duration<double, std::micro>(Clock::now() - since).count();
 }
 
 }  // namespace
@@ -120,10 +126,12 @@ std::string DaemonCounters::ToJson() const {
       << ", \"checkpoints\": " << checkpoints
       << ", \"checkpoint_failures\": " << checkpoint_failures
       << ", \"checkpoint_bytes\": " << checkpoint_bytes
+      << ", \"checkpoint_waits\": " << checkpoint_waits
       << ", \"restored_apps\": " << restored_apps
       << ", \"restore_incomplete\": " << restore_incomplete << ", \"ticks\": " << ticks
       << ", \"ingest_us\": " << ingest_us << ", \"decide_us\": " << decide_us
-      << ", \"checkpoint_us\": " << checkpoint_us << "}";
+      << ", \"checkpoint_us\": " << checkpoint_us
+      << ", \"checkpoint_write_us\": " << checkpoint_write_us << "}";
   return out.str();
 }
 
@@ -467,41 +475,57 @@ void ScalerDaemon::TickOnce() {
     }
   }
 
-  ++global_.ticks;
+  // A due checkpoint costs the tick a copy: the writer thread formats and
+  // publishes it. A write still in flight is waited for, never skipped.
+  bool waited = false;
+  double checkpoint_us = 0.0;
   if (checkpoint_due_) {
     checkpoint_due_ = false;
     const auto checkpoint_start = Clock::now();
-    CheckpointLocked();
-    global_.checkpoint_us +=
-        std::chrono::duration<double, std::micro>(Clock::now() - checkpoint_start)
-            .count();
+    waited = WaitForCheckpointWrite();
+    StartCheckpointWrite(SnapshotCheckpoint());
+    checkpoint_us = MicrosSince(checkpoint_start);
   }
+  std::lock_guard<std::mutex> lock(counters_mu_);
+  ++global_.ticks;
+  global_.checkpoint_us += checkpoint_us;
+  global_.checkpoint_waits += waited ? 1 : 0;
 }
 
 bool ScalerDaemon::Checkpoint() {
   const auto checkpoint_start = Clock::now();
-  const bool ok = CheckpointLocked();
-  global_.checkpoint_us +=
-      std::chrono::duration<double, std::micro>(Clock::now() - checkpoint_start)
-          .count();
-  return ok;
-}
-
-bool ScalerDaemon::CheckpointLocked() {
+  WaitForCheckpointWrite();
   if (options_.checkpoint_path.empty()) {
+    std::lock_guard<std::mutex> lock(counters_mu_);
     ++global_.checkpoint_failures;
+    global_.checkpoint_us += MicrosSince(checkpoint_start);
     return false;
   }
-  DaemonCheckpoint checkpoint;
-  checkpoint.tick = tick_count();
+  const double truncate_fraction = SnapshotCheckpoint();
+  {
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    global_.checkpoint_us += MicrosSince(checkpoint_start);
+  }
+  return WriteCheckpoint(truncate_fraction);
+}
+
+double ScalerDaemon::SnapshotCheckpoint() {
+  // Every field is assigned into the kept records, so once the fleet is
+  // registered and its windows are full, a snapshot of closed-form
+  // forecasters allocates nothing (tests/serve/checkpoint_alloc_test.cc).
+  snapshot_.tick = tick_count();
+  std::size_t n = 0;
   for (const auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& [id, slot] : shard.slots) {
       const AppState& state = shard.apps[slot];
-      DaemonAppCheckpoint app;
+      if (n == snapshot_.apps.size()) {
+        snapshot_.apps.emplace_back();
+      }
+      DaemonAppCheckpoint& app = snapshot_.apps[n++];
       app.id = id;
-      app.forecaster = std::string(state.forecaster->name());
+      app.forecaster.assign(state.forecaster->name());
       app.observed = state.stream.observed();
       app.last_epoch = state.last_epoch;
       app.has_epoch = state.has_epoch;
@@ -522,32 +546,99 @@ bool ScalerDaemon::CheckpointLocked() {
       // forecasters keep the record format unchanged.
       if (state.forecaster->HasOpaqueState()) {
         app.forecaster_state = state.forecaster->SaveOpaqueState();
+      } else {
+        app.forecaster_state.clear();
       }
-      checkpoint.apps.push_back(std::move(app));
     }
   }
-  long long truncate_to = -1;
+  snapshot_.apps.resize(n);
+  // The fault is drawn here, on the tick thread, so the injector's draw
+  // sequence never depends on when the writer runs.
   if (injector_.enabled() && injector_.Fire(FaultSite::kCheckpointTruncate, 0)) {
+    return injector_.Draw(FaultSite::kCheckpointTruncate, 0);
+  }
+  return -1.0;
+}
+
+bool ScalerDaemon::WriteCheckpoint(double truncate_fraction) {
+  const auto write_start = Clock::now();
+  long long truncate_to = -1;
+  if (truncate_fraction >= 0.0) {
     // Torn-write model: measure the full snapshot, then publish a prefix.
     std::ostringstream sized;
-    SaveDaemonCheckpoint(checkpoint, sized);
+    SaveDaemonCheckpoint(snapshot_, sized);
     const std::size_t total = sized.str().size();
-    truncate_to = static_cast<long long>(
-        injector_.Draw(FaultSite::kCheckpointTruncate, 0) * static_cast<double>(total));
+    truncate_to = static_cast<long long>(truncate_fraction * static_cast<double>(total));
   }
   std::size_t bytes = 0;
   const bool ok =
-      SaveDaemonCheckpointFile(checkpoint, options_.checkpoint_path, &bytes, truncate_to);
+      SaveDaemonCheckpointFile(snapshot_, options_.checkpoint_path, &bytes, truncate_to);
+  std::lock_guard<std::mutex> lock(counters_mu_);
   if (ok) {
     ++global_.checkpoints;
     global_.checkpoint_bytes = bytes;
   } else {
     ++global_.checkpoint_failures;
   }
+  global_.checkpoint_write_us += MicrosSince(write_start);
   return ok;
 }
 
+void ScalerDaemon::StartCheckpointWrite(double truncate_fraction) {
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  if (!writer_thread_.joinable()) {
+    // Started lazily: a daemon that never checkpoints never pays for it.
+    writer_stop_ = false;
+    writer_thread_ = std::thread([this]() { CheckpointWriterLoop(); });
+  }
+  pending_truncate_fraction_ = truncate_fraction;
+  write_pending_ = true;
+  writer_cv_.notify_all();
+}
+
+void ScalerDaemon::CheckpointWriterLoop() {
+  std::unique_lock<std::mutex> lock(writer_mu_);
+  while (true) {
+    writer_cv_.wait(lock, [this]() { return write_pending_ || writer_stop_; });
+    if (!write_pending_) {
+      return;  // Stopped with nothing left to write.
+    }
+    const double truncate_fraction = pending_truncate_fraction_;
+    lock.unlock();
+    if (write_hook_) {
+      write_hook_();
+    }
+    WriteCheckpoint(truncate_fraction);
+    lock.lock();
+    write_pending_ = false;
+    writer_cv_.notify_all();
+  }
+}
+
+bool ScalerDaemon::WaitForCheckpointWrite() const {
+  std::unique_lock<std::mutex> lock(writer_mu_);
+  if (!write_pending_) {
+    return false;
+  }
+  writer_cv_.wait(lock, [this]() { return !write_pending_; });
+  return true;
+}
+
+void ScalerDaemon::StopCheckpointWriter() {
+  std::thread writer;
+  {
+    std::lock_guard<std::mutex> lock(writer_mu_);
+    writer_stop_ = true;
+    writer = std::move(writer_thread_);
+  }
+  writer_cv_.notify_all();
+  if (writer.joinable()) {
+    writer.join();  // The loop finishes a pending write before it returns.
+  }
+}
+
 std::size_t ScalerDaemon::RestoreFromCheckpoint() {
+  WaitForCheckpointWrite();
   DaemonCheckpoint checkpoint;
   const bool complete =
       LoadDaemonCheckpointFile(options_.checkpoint_path, &checkpoint);
@@ -555,6 +646,7 @@ std::size_t ScalerDaemon::RestoreFromCheckpoint() {
     return 0;  // Missing/unreadable/empty: cold start.
   }
   if (!complete) {
+    std::lock_guard<std::mutex> lock(counters_mu_);
     ++global_.restore_incomplete;
   }
   if (checkpoint.tick > tick_count()) {
@@ -600,12 +692,18 @@ std::size_t ScalerDaemon::RestoreFromCheckpoint() {
     }
     ++restored;
   }
+  std::lock_guard<std::mutex> lock(counters_mu_);
   global_.restored_apps += restored;
   return restored;
 }
 
 DaemonCounters ScalerDaemon::counters() const {
-  DaemonCounters total = global_;
+  WaitForCheckpointWrite();
+  DaemonCounters total;
+  {
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    total = global_;
+  }
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     AccumulateCounters(&total, shard->counters);
@@ -677,6 +775,11 @@ void ScalerDaemon::SetFaultsForTest(const FaultSpec& spec) {
   injector_.Reset(spec);
 }
 
+void ScalerDaemon::SetCheckpointWriteHookForTest(std::function<void()> hook) {
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  write_hook_ = std::move(hook);
+}
+
 void ScalerDaemon::Start() {
   std::lock_guard<std::mutex> lock(run_mu_);
   if (running_) {
@@ -702,19 +805,25 @@ void ScalerDaemon::Start() {
 }
 
 void ScalerDaemon::Stop() {
+  bool running = false;
   {
     std::lock_guard<std::mutex> lock(run_mu_);
-    if (!running_) {
-      return;
+    running = running_;
+    if (running_) {
+      stop_requested_ = true;
     }
-    stop_requested_ = true;
   }
-  run_cv_.notify_all();
-  if (tick_thread_.joinable()) {
-    tick_thread_.join();
+  if (running) {
+    run_cv_.notify_all();
+    if (tick_thread_.joinable()) {
+      tick_thread_.join();
+    }
+    std::lock_guard<std::mutex> lock(run_mu_);
+    running_ = false;
   }
-  std::lock_guard<std::mutex> lock(run_mu_);
-  running_ = false;
+  // After the tick thread, so a checkpoint its last tick made due is
+  // written too.
+  StopCheckpointWriter();
 }
 
 }  // namespace femux

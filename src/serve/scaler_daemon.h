@@ -33,7 +33,9 @@
 //  - Crash safety: the daemon periodically checkpoints every app's ring +
 //    resilience bookkeeping through src/core/serialize's torn-write-proof
 //    record format (atomic tmp + rename), and a restarted daemon
-//    warm-resumes from whatever valid prefix survives.
+//    warm-resumes from whatever valid prefix survives. The tick only
+//    copies the records; one background writer formats and publishes
+//    them.
 //
 // All failure behavior is driveable by the deterministic fault injector in
 // src/serve/fault.h, so chaos tests replay byte-identical fault schedules.
@@ -41,8 +43,19 @@
 // Threading model: Push() is safe from any number of producer threads.
 // TickOnce()/Start()/Stop()/Checkpoint()/RestoreFromCheckpoint() must be
 // serialized by the caller (Start() owns the tick thread in real-time
-// mode). Counter/decision accessors are safe concurrently with pushes but
-// take the shard locks.
+// mode). Counter/decision/health accessors are safe from any thread,
+// concurrently with pushes, ticks and checkpoint writes: they take the
+// shard locks and the counter lock.
+//
+// A due periodic checkpoint copies every app's record into one reused
+// snapshot on the tick thread (under each shard lock, after the tick's
+// decisions) and hands it to a writer thread, started at the first due
+// checkpoint, which formats, writes and renames the file. At most one
+// write is in flight: a checkpoint that falls due while one is still
+// running waits for it (counted in checkpoint_waits) rather than skipping,
+// so the cadence, the file contents and the fault schedule never depend
+// on timing. Checkpoint(), RestoreFromCheckpoint(), Stop(), the destructor
+// and counters() first wait for a write in flight.
 #ifndef SRC_SERVE_SCALER_DAEMON_H_
 #define SRC_SERVE_SCALER_DAEMON_H_
 
@@ -50,6 +63,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -152,16 +166,21 @@ struct DaemonCounters {
   std::uint64_t clock_skew_applied = 0;
   std::uint64_t latency_overwrites = 0;  // Latency samples lost to the ring.
   // Checkpoints.
-  std::uint64_t checkpoints = 0;
-  std::uint64_t checkpoint_failures = 0;
+  std::uint64_t checkpoints = 0;          // Successful writes.
+  std::uint64_t checkpoint_failures = 0;  // Failed writes.
   std::uint64_t checkpoint_bytes = 0;  // Size of the newest checkpoint.
+  std::uint64_t checkpoint_waits = 0;  // Due ticks that waited for a write.
   std::uint64_t restored_apps = 0;
   std::uint64_t restore_incomplete = 0;  // Restores that recovered a prefix.
   // Tick-phase timings (per-component breakdown, Li et al. style).
   std::uint64_t ticks = 0;
   double ingest_us = 0.0;
   double decide_us = 0.0;
+  // Checkpoint time on the calling thread: the snapshot copy, the
+  // hand-off and any wait for the write before it.
   double checkpoint_us = 0.0;
+  // Formatting, writing and renaming, wherever it ran.
+  double checkpoint_write_us = 0.0;
 
   std::string ToJson() const;
 };
@@ -189,13 +208,15 @@ class ScalerDaemon {
 
   // Real-time mode: a background thread calls TickOnce() every
   // tick_interval_ms until Stop(). Stop() is idempotent and also runs in
-  // the destructor.
+  // the destructor; it also finishes a checkpoint write in flight and ends
+  // the writer thread, real-time loop or not.
   void Start();
   void Stop();
 
   // Snapshots all per-app state through src/core/serialize (atomic tmp +
-  // rename; torn-write-proof record format). Returns false on IO failure.
-  // Requires options.checkpoint_path to be set.
+  // rename; torn-write-proof record format) on the calling thread, after
+  // any periodic write in flight. Returns false on IO failure. Requires
+  // options.checkpoint_path to be set.
   bool Checkpoint();
 
   // Warm-resumes from options.checkpoint_path. Apps present in the valid
@@ -204,7 +225,8 @@ class ScalerDaemon {
   // missing/unreadable file — the daemon simply starts cold).
   std::size_t RestoreFromCheckpoint();
 
-  // Aggregated across shards.
+  // Aggregated across shards. Waits for a checkpoint write in flight, so
+  // a read after TickOnce() counts every checkpoint that tick made due.
   DaemonCounters counters() const;
   std::size_t app_count() const;
   std::uint64_t tick_count() const {
@@ -240,6 +262,10 @@ class ScalerDaemon {
   // Replaces the fault spec (deterministic chaos phases in tests: run N
   // clean ticks, then inject). Not thread-safe against an active tick.
   void SetFaultsForTest(const FaultSpec& spec);
+
+  // Runs `hook` on the writer thread before each periodic write, so tests
+  // can hold the writer busy. Not thread-safe against a write in flight.
+  void SetCheckpointWriteHookForTest(std::function<void()> hook);
 
  private:
   struct AppState {
@@ -294,7 +320,19 @@ class ScalerDaemon {
   void ApplyPush(Shard& shard, const MetricPush& push);
   Decision DecideApp(Shard& shard, AppState& state, std::uint64_t tick);
   double MovingAverageTarget(const AppState& state) const;
-  bool CheckpointLocked();
+  // Copies every app's record into snapshot_, shards in order and slots by
+  // id, each under its shard lock, and draws the torn-write fault. Returns
+  // the drawn prefix fraction, or -1 for a whole file.
+  double SnapshotCheckpoint();
+  // Formats and publishes snapshot_, then counts the result.
+  bool WriteCheckpoint(double truncate_fraction);
+  // Hands snapshot_ to the writer thread, starting it if needed.
+  void StartCheckpointWrite(double truncate_fraction);
+  void CheckpointWriterLoop();
+  // Blocks until no write is in flight; true when it had to wait.
+  bool WaitForCheckpointWrite() const;
+  // Finishes a write in flight and joins the writer thread.
+  void StopCheckpointWriter();
 
   ScalerDaemonOptions options_;
   std::unique_ptr<Forecaster> prototype_;
@@ -305,7 +343,21 @@ class ScalerDaemon {
   // it is a progress counter, never a synchronization point).
   std::atomic<std::uint64_t> tick_count_{0};
   bool checkpoint_due_ = false;  // Set by the wheel event, consumed in-tick.
-  DaemonCounters global_;  // Tick/checkpoint/restore counters (tick thread only).
+  // Tick/checkpoint/restore counters, written by the tick and writer
+  // threads and read by counters() on any thread.
+  mutable std::mutex counters_mu_;
+  DaemonCounters global_;
+
+  // The reused checkpoint snapshot. While write_pending_ it belongs to the
+  // writer thread; otherwise to the tick (or Checkpoint()) thread.
+  DaemonCheckpoint snapshot_;
+  mutable std::mutex writer_mu_;
+  mutable std::condition_variable writer_cv_;
+  bool write_pending_ = false;  // snapshot_ handed off, not yet written.
+  bool writer_stop_ = false;
+  double pending_truncate_fraction_ = -1.0;
+  std::function<void()> write_hook_;
+  std::thread writer_thread_;
 
   std::thread tick_thread_;
   std::mutex run_mu_;

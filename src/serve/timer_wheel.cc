@@ -37,21 +37,22 @@ void TimerWheel::Advance() {
   // Pull out the due entries first: callbacks may schedule into this same
   // slot (a periodic event whose period is a multiple of the slot count),
   // and those must not fire until their own due tick.
-  std::vector<Entry> due;
+  due_.clear();
   for (auto it = slot.begin(); it != slot.end();) {
     if (it->due == now_) {
-      due.push_back(std::move(*it));
+      due_.push_back(std::move(*it));
       it = slot.erase(it);
       --pending_;
     } else {
       ++it;
     }
   }
-  std::sort(due.begin(), due.end(),
+  std::sort(due_.begin(), due_.end(),
             [](const Entry& a, const Entry& b) { return a.id < b.id; });
-  for (Entry& entry : due) {
+  for (Entry& entry : due_) {
     entry.callback();
   }
+  due_.clear();  // Fired callbacks release what they captured now.
 }
 
 }  // namespace femux

@@ -50,6 +50,9 @@ class TimerWheel {
   };
 
   std::vector<std::vector<Entry>> slots_;
+  // The entries Advance() is firing; kept so a tick that fires an event
+  // reuses its capacity instead of allocating.
+  std::vector<Entry> due_;
   std::uint64_t now_ = 0;
   std::uint64_t next_id_ = 1;
   std::size_t pending_ = 0;

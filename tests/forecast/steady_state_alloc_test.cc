@@ -2,7 +2,8 @@
 //
 // The forecasters read their window from the ForecastStream's ring and keep
 // only fixed-size state (Gram sums, a sorted view, spectrum bins, a linear
-// state, a solver workspace), so once a stream is warm an epoch of Append +
+// state, a solver workspace) or none (SES and Holt sweep the window on the
+// stack), so once a stream is warm an epoch of Append +
 // Forecast must not touch the heap. This binary links bench/alloc_hook.cc,
 // which replaces the global operator new with a counting one; each stream
 // is warmed past its window and one 512-slide rebuild or recount interval,
@@ -76,8 +77,9 @@ std::uint64_t SteadyStateAllocations(std::string_view name, std::size_t stride) 
 }
 
 TEST(SteadyStateAllocationTest, IncrementalEpochsAllocateNothing) {
-  for (const std::string_view name : {"ar", "fft", "markov_chain", "linear_state",
-                                      "moving_average_1", "keep_alive_5min"}) {
+  for (const std::string_view name :
+       {"ar", "fft", "markov_chain", "linear_state", "moving_average_1",
+        "keep_alive_5min", "holt", "exp_smoothing"}) {
     for (const std::size_t stride : {1u, 5u}) {
       EXPECT_EQ(SteadyStateAllocations(name, stride), 0u)
           << name << " at refit stride " << stride;

@@ -1,9 +1,12 @@
 // Scaler daemon: fault-free decision parity with the simulator, ingestion
 // validation and backpressure, the degradation ladder + quarantine
-// watchdog, and crash-safe checkpoint/restore parity.
+// watchdog, crash-safe checkpoint/restore parity, and the background
+// checkpoint writer (same bytes, drained on destruction, waits not skips,
+// race-free accessors).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -18,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/serialize.h"
 #include "src/forecast/forecaster.h"
 #include "src/forecast/registry.h"
 #include "src/serve/scaler_daemon.h"
@@ -62,6 +66,13 @@ ScalerDaemonOptions BaseOptions() {
 }
 
 std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
 
 // The daemon decides what the simulator decides: with faults off, each
 // tick's target equals ForecasterPolicy::TargetUnits on the same prefix,
@@ -462,6 +473,93 @@ TEST(ScalerDaemonTest, PeriodicCheckpointsRideTheTimerWheel) {
   std::remove(path.c_str());
 }
 
+// The writer thread publishes exactly the bytes a synchronous Checkpoint()
+// of the same state writes.
+TEST(ScalerDaemonTest, PeriodicCheckpointMatchesSynchronousCheckpointBytes) {
+  const std::string periodic_path = TempPath("bytes_periodic");
+  const std::string direct_path = TempPath("bytes_direct");
+  ScalerDaemonOptions periodic = BaseOptions();
+  periodic.checkpoint_path = periodic_path;
+  periodic.checkpoint_every_ticks = 10;
+  ScalerDaemonOptions direct = BaseOptions();
+  direct.checkpoint_path = direct_path;
+  const auto ids = MakeAppIds(8);
+  ScalerDaemon a(periodic);
+  ScalerDaemon b(direct);
+  for (std::uint64_t tick = 1; tick <= 10; ++tick) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const MetricPush push{ids[i], tick, Sample(i, tick)};
+      ASSERT_TRUE(a.Push(push));
+      ASSERT_TRUE(b.Push(push));
+    }
+    a.TickOnce();
+    b.TickOnce();
+  }
+  a.Stop();
+  ASSERT_TRUE(b.Checkpoint());
+  EXPECT_EQ(a.counters().checkpoints, 1u);
+  const std::string written = ReadFile(periodic_path);
+  ASSERT_FALSE(written.empty());
+  EXPECT_EQ(written, ReadFile(direct_path));
+  std::remove(periodic_path.c_str());
+  std::remove(direct_path.c_str());
+}
+
+// Destroying the daemon finishes the write its last tick made due, even
+// while the writer is slow.
+TEST(ScalerDaemonTest, DestructorFinishesTheDueCheckpoint) {
+  const std::string path = TempPath("destroy_after_due");
+  ScalerDaemonOptions options = BaseOptions();
+  options.checkpoint_path = path;
+  options.checkpoint_every_ticks = 5;
+  const auto ids = MakeAppIds(4);
+  {
+    ScalerDaemon daemon(options);
+    daemon.SetCheckpointWriteHookForTest(
+        [] { std::this_thread::sleep_for(std::chrono::milliseconds(50)); });
+    for (std::uint64_t tick = 1; tick <= 5; ++tick) {
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        ASSERT_TRUE(daemon.Push({ids[i], tick, Sample(i, tick)}));
+      }
+      daemon.TickOnce();
+    }
+  }
+  DaemonCheckpoint loaded;
+  ASSERT_TRUE(LoadDaemonCheckpointFile(path, &loaded));
+  EXPECT_EQ(loaded.tick, 5u);
+  EXPECT_EQ(loaded.apps.size(), ids.size());
+  std::remove(path.c_str());
+}
+
+// A checkpoint that falls due while the previous write is still running
+// waits for it (never skips) and charges the wait to the tick.
+TEST(ScalerDaemonTest, DueCheckpointWaitsForTheWriteInFlight) {
+  const std::string path = TempPath("wait_in_flight");
+  ScalerDaemonOptions options = BaseOptions();
+  options.checkpoint_path = path;
+  options.checkpoint_every_ticks = 1;
+  std::atomic<int> writes{0};  // Outlives the daemon and its writer.
+  ScalerDaemon daemon(options);
+  daemon.SetCheckpointWriteHookForTest([&writes] {
+    if (writes.fetch_add(1) == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    }
+  });
+  ASSERT_TRUE(daemon.Push({"app-0", 1, 2.0}));
+  daemon.TickOnce();  // Due: hands the snapshot to the writer, which holds.
+  ASSERT_TRUE(daemon.Push({"app-0", 2, 3.0}));
+  daemon.TickOnce();  // Due again while the first write runs.
+  const DaemonCounters counters = daemon.counters();
+  EXPECT_EQ(counters.checkpoint_waits, 1u);
+  EXPECT_EQ(counters.checkpoints, 2u);
+  EXPECT_GE(counters.checkpoint_us, 100e3);  // The wait is tick time.
+  EXPECT_GT(counters.checkpoint_write_us, 0.0);
+  DaemonCheckpoint loaded;
+  ASSERT_TRUE(LoadDaemonCheckpointFile(path, &loaded));
+  EXPECT_EQ(loaded.tick, 2u);
+  std::remove(path.c_str());
+}
+
 TEST(ScalerDaemonTest, StartStopRealTimeLoopTicks) {
   ScalerDaemonOptions options = BaseOptions();
   options.tick_interval_ms = 5.0;
@@ -477,6 +575,56 @@ TEST(ScalerDaemonTest, StartStopRealTimeLoopTicks) {
   daemon.Stop();  // Idempotent.
   EXPECT_GE(daemon.tick_count(), 3u);
   EXPECT_EQ(daemon.app_count(), 1u);
+}
+
+// The accessors are safe from another thread while Start()'s tick thread
+// ticks and the writer thread writes checkpoints (scripts/verify.sh runs
+// this under ThreadSanitizer).
+TEST(ScalerDaemonTest, AccessorsAreRaceFreeWhileTickingAndWriting) {
+  const std::string path = TempPath("concurrent_accessors");
+  ScalerDaemonOptions options = BaseOptions();
+  options.tick_interval_ms = 1.0;
+  options.checkpoint_every_ticks = 2;
+  options.checkpoint_path = path;
+  const auto ids = MakeAppIds(4);
+  ScalerDaemon daemon(options);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_TRUE(daemon.Push({ids[i], 1, Sample(i, 1)}));
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::atomic<bool> done{false};
+  daemon.Start();
+  std::thread poller([&] {
+    while (std::chrono::steady_clock::now() < deadline) {
+      const DaemonCounters counters = daemon.counters();
+      for (const Decision& decision : daemon.LatestDecisions()) {
+        EXPECT_TRUE(std::isfinite(decision.target));
+      }
+      const ScalerDaemon::AppHealth health = daemon.GetAppHealth(ids[0]);
+      EXPECT_TRUE(!health.known || health.observed >= 1);
+      if (counters.checkpoints >= 5) {
+        break;
+      }
+      std::this_thread::yield();
+    }
+    done = true;
+  });
+  // Producers keep pushing while the poller reads.
+  for (std::uint64_t epoch = 2; !done; ++epoch) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      daemon.Push({ids[i], epoch, Sample(i, epoch)});
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  poller.join();
+  daemon.Stop();
+  const DaemonCounters counters = daemon.counters();
+  EXPECT_GE(counters.checkpoints, 5u);
+  EXPECT_EQ(counters.checkpoint_failures, 0u);
+  DaemonCheckpoint loaded;
+  EXPECT_TRUE(LoadDaemonCheckpointFile(path, &loaded));
+  EXPECT_EQ(loaded.apps.size(), ids.size());
+  std::remove(path.c_str());
 }
 
 // Nothing drains the latency buffer in Start() mode, so each shard keeps
