@@ -13,6 +13,8 @@
 // and per-chunk allocations cancel in the difference, so a nonzero delta
 // is per-epoch heap traffic in the hot loop. Warm up at the larger size
 // first so thread-local arena growth lands outside the measured windows.
+// The live-bytes counter measures what a component holds the same way:
+// read it before and after building the component.
 #ifndef BENCH_ALLOC_HOOK_H_
 #define BENCH_ALLOC_HOOK_H_
 
@@ -22,6 +24,12 @@ namespace femux {
 
 // Total global operator-new calls observed since process start.
 std::uint64_t AllocHookCount();
+
+// Bytes currently held through global operator new: malloc_usable_size of
+// every block allocated, less that of every block deleted. A difference
+// of two readings is the heap a component kept in between, with the
+// allocator's rounding included.
+std::int64_t AllocHookLiveBytes();
 
 }  // namespace femux
 

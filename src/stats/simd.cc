@@ -81,14 +81,21 @@ void ScalarRealCMulTo(std::complex<double>* dst, const double* x,
   }
 }
 
-void ScalarSlideUpdate(std::complex<double>* bins, double delta,
-                       const std::complex<double>* tw, std::size_t n) {
+void ScalarSlideUpdate(std::complex<double>* bins, const double* deltas,
+                       std::size_t slides, const std::complex<double>* tw,
+                       std::size_t n) {
   for (std::size_t k = 0; k < n; ++k) {
-    const double ar = bins[k].real() + delta;
-    const double ai = bins[k].imag();
     const double br = tw[k].real();
     const double bi = tw[k].imag();
-    bins[k] = {ar * br - ai * bi, ar * bi + ai * br};
+    double re = bins[k].real();
+    double im = bins[k].imag();
+    for (std::size_t s = 0; s < slides; ++s) {
+      const double ar = re + deltas[s];
+      const double next_im = ar * bi + im * br;
+      re = ar * br - im * bi;
+      im = next_im;
+    }
+    bins[k] = {re, im};
   }
 }
 

@@ -67,9 +67,16 @@ struct KernelTable {
   // dst[k] = x[k] * y[k] with real x (the packed odd-length chirp modulation)
   void (*real_cmul_to)(std::complex<double>* dst, const double* x,
                        const std::complex<double>* y, std::size_t n) = nullptr;
-  // bins[k] = (bins[k] + delta) * tw[k]   (sliding-DFT slide)
-  void (*slide_update)(std::complex<double>* bins, double delta,
-                       const std::complex<double>* tw, std::size_t n) = nullptr;
+  // `slides` sliding-DFT slides, bin-major: for each bin k, for each s in
+  // [0, slides) in order, bins[k] = (bins[k] + deltas[s]) * tw[k], that is
+  //   ar = re + deltas[s]; re' = ar*br - im*bi; im' = ar*bi + im*br.
+  // A bin's slides run in slide order, so one call with S slides equals S
+  // one-slide calls bit for bit. The vector tables split the bins into real
+  // and imaginary lanes once per call and run several lane groups side by
+  // side (DESIGN.md §12).
+  void (*slide_update)(std::complex<double>* bins, const double* deltas,
+                       std::size_t slides, const std::complex<double>* tw,
+                       std::size_t n) = nullptr;
   // SES one-step-ahead SSE sweep over `g` alphas (lanes = grid points):
   // per alpha: level = y[0]; for t in [1, n): err = y[t] - level;
   // sse += err*err; level += alpha*err. Writes levels[g], sses[g].
@@ -146,9 +153,10 @@ inline void RealCMulTo(std::complex<double>* dst, const double* x,
                        const std::complex<double>* y, std::size_t n) {
   ActiveTable().real_cmul_to(dst, x, y, n);
 }
-inline void SlideUpdate(std::complex<double>* bins, double delta,
-                        const std::complex<double>* tw, std::size_t n) {
-  ActiveTable().slide_update(bins, delta, tw, n);
+inline void SlideUpdate(std::complex<double>* bins, const double* deltas,
+                        std::size_t slides, const std::complex<double>* tw,
+                        std::size_t n) {
+  ActiveTable().slide_update(bins, deltas, slides, tw, n);
 }
 inline void SesSweep(const double* y, std::size_t n, const double* alphas,
                      std::size_t g, double* levels, double* sses) {

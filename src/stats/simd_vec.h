@@ -63,12 +63,6 @@ struct VecD {
     const __m256d lo = _mm256_castpd128_pd256(_mm_loadu_pd(p));
     return {_mm256_permute4x64_pd(lo, 0x50)};
   }
-  // Even lanes from `even`, odd lanes from `odd`. Used to touch only the
-  // real half of interleaved complex pairs without perturbing the
-  // imaginary half (adding +0.0 would flip a stored -0.0 to +0.0).
-  static VecD BlendEvenOdd(VecD even, VecD odd) {
-    return {_mm256_blend_pd(odd.v, even.v, 0x5)};
-  }
 
   friend VecD operator+(VecD a, VecD b) { return {_mm256_add_pd(a.v, b.v)}; }
   friend VecD operator-(VecD a, VecD b) { return {_mm256_sub_pd(a.v, b.v)}; }
@@ -84,6 +78,12 @@ struct VecD {
   VecD SwapPairs() const { return {_mm256_permute_pd(v, 0x5)}; }
   // Even lanes a - b, odd lanes a + b.
   static VecD AddSub(VecD a, VecD b) { return {_mm256_addsub_pd(a.v, b.v)}; }
+  // (a0, b0, a2, b2) and (a1, b1, a3, b3). On two vectors of interleaved
+  // complex data they split out the real and the imaginary parts, in one
+  // lane order for every split pair; on those (re, im) vectors they
+  // interleave the bins again.
+  static VecD UnpackLo(VecD a, VecD b) { return {_mm256_unpacklo_pd(a.v, b.v)}; }
+  static VecD UnpackHi(VecD a, VecD b) { return {_mm256_unpackhi_pd(a.v, b.v)}; }
 
   VecD Abs() const {
     return {_mm256_andnot_pd(_mm256_set1_pd(-0.0), v)};
@@ -119,10 +119,6 @@ struct VecD {
   static VecD Zero() { return {_mm_setzero_pd()}; }
   // One complex per vector at width 2: (p[0], p[0]).
   static VecD LoadPairDup(const double* p) { return {_mm_set1_pd(*p)}; }
-  // Even lane from `even`, odd lane from `odd` (see the AVX2 overload).
-  static VecD BlendEvenOdd(VecD even, VecD odd) {
-    return {_mm_move_sd(odd.v, even.v)};
-  }
 
   friend VecD operator+(VecD a, VecD b) { return {_mm_add_pd(a.v, b.v)}; }
   friend VecD operator-(VecD a, VecD b) { return {_mm_sub_pd(a.v, b.v)}; }
@@ -144,6 +140,9 @@ struct VecD {
     const __m128d flip = _mm_set_pd(0.0, -0.0);
     return {_mm_add_pd(a.v, _mm_xor_pd(b.v, flip))};
   }
+  // (a0, b0) and (a1, b1) (see the AVX2 overloads).
+  static VecD UnpackLo(VecD a, VecD b) { return {_mm_unpacklo_pd(a.v, b.v)}; }
+  static VecD UnpackHi(VecD a, VecD b) { return {_mm_unpackhi_pd(a.v, b.v)}; }
 
   VecD Abs() const { return {_mm_andnot_pd(_mm_set1_pd(-0.0), v)}; }
   int LeMask(VecD b) const {

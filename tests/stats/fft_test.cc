@@ -1,7 +1,13 @@
 #include "src/stats/fft.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <complex>
+#include <cstdint>
+#include <limits>
 #include <numbers>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -138,6 +144,164 @@ TEST(SpectralConcentrationTest, TiedEnergiesAreDeterministic) {
   std::vector<double> x(16, 0.0);
   x[0] = 1.0;
   EXPECT_DOUBLE_EQ(SpectralConcentration(x, 3), 3.0 / 8.0);
+}
+
+// The documented selection by a full sort: energy (scale^2 * |X|^2)
+// descending, ties toward the lower bin, a NaN energy below every number.
+// Returns the first excluded amplitude, or -1.0 when k covers every bin
+// (and, as SelectTopHarmonics does, when k is 0).
+double OracleSelect(const std::vector<std::complex<double>>& half, std::size_t n,
+                    std::size_t k, std::vector<Harmonic>* out) {
+  out->clear();
+  if (k == 0) {
+    return -1.0;
+  }
+  const std::size_t count = n / 2 + 1;
+  const auto scale_of = [n](std::size_t bin) {
+    return (bin == 0 || (n % 2 == 0 && bin == n / 2)) ? 1.0 : 2.0;
+  };
+  std::vector<double> energy(count);
+  for (std::size_t bin = 0; bin < count; ++bin) {
+    const double scale = scale_of(bin);
+    energy[bin] = scale * scale * std::norm(half[bin]);
+  }
+  std::vector<std::size_t> order(count);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const bool nan_a = std::isnan(energy[a]);
+    const bool nan_b = std::isnan(energy[b]);
+    if (nan_a != nan_b) {
+      return nan_b;
+    }
+    if (!nan_a && energy[a] != energy[b]) {
+      return energy[a] > energy[b];
+    }
+    return a < b;
+  });
+  const auto amplitude = [&](std::size_t bin) {
+    return scale_of(bin) * std::abs(half[bin]) / static_cast<double>(n);
+  };
+  const std::size_t take = std::min(k, count);
+  for (std::size_t i = 0; i < take; ++i) {
+    const std::size_t bin = order[i];
+    out->push_back({bin, static_cast<double>(bin) / static_cast<double>(n),
+                    amplitude(bin), std::arg(half[bin])});
+  }
+  return take < count ? amplitude(order[take]) : -1.0;
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void ExpectSelectionMatchesOracle(const std::vector<std::complex<double>>& half,
+                                  std::size_t n, std::size_t k) {
+  std::vector<Harmonic> got, want;
+  const double excluded = SelectTopHarmonics(half, n, k, &got);
+  const double want_excluded = OracleSelect(half, n, k, &want);
+  ASSERT_EQ(got.size(), want.size()) << "n=" << n << " k=" << k;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].bin, want[i].bin) << "n=" << n << " k=" << k << " rank " << i;
+    EXPECT_TRUE(SameBits(got[i].frequency, want[i].frequency) &&
+                SameBits(got[i].amplitude, want[i].amplitude) &&
+                SameBits(got[i].phase, want[i].phase))
+        << "n=" << n << " k=" << k << " rank " << i;
+  }
+  EXPECT_TRUE(SameBits(excluded, want_excluded))
+      << "n=" << n << " k=" << k << ": " << excluded << " vs " << want_excluded;
+}
+
+// Deterministic xorshift so the spectra are stable across platforms.
+class SpectrumRng {
+ public:
+  explicit SpectrumRng(std::uint64_t seed) : state_(seed) {}
+  std::uint64_t Next() {
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 7;
+    state_ ^= state_ << 17;
+    return state_;
+  }
+  // One component, drawn from a few exact values (so bins tie exactly),
+  // signed zeros, magnitudes whose energy overflows to inf, and ordinary
+  // random values; NaN only when `nan` is set.
+  double Component(bool nan) {
+    const std::uint64_t pick = Next() % 12;
+    switch (pick) {
+      case 0: return 0.0;
+      case 1: return -0.0;
+      case 2: return 1.0;
+      case 3: return -2.0;
+      case 4: return 0.5;
+      case 5: return 1e200;  // 1e400 overflows: the energy is inf.
+      case 6: return -3e180;
+      case 7: return nan ? std::numeric_limits<double>::quiet_NaN() : 2.0;
+      default:
+        return static_cast<double>(Next() % 2000000) / 1000000.0 - 1.0;
+    }
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
+TEST(SelectTopHarmonicsOracleTest, MatchesAFullSortBitForBit) {
+  SpectrumRng rng(0x70b4a2);
+  for (std::size_t trial = 0; trial < 1200; ++trial) {
+    // Odd and even lengths, from the degenerate to a few hundred samples.
+    const std::size_t n = 1 + rng.Next() % 300;
+    const std::size_t count = n / 2 + 1;
+    std::vector<std::complex<double>> half(count);
+    for (std::size_t bin = 0; bin < count; ++bin) {
+      // Reusing an earlier bin, or its parts swapped, ties exactly.
+      const std::uint64_t shape = rng.Next() % 8;
+      if (bin > 0 && shape == 0) {
+        half[bin] = half[rng.Next() % bin];
+      } else if (bin > 0 && shape == 1) {
+        const std::complex<double> other = half[rng.Next() % bin];
+        half[bin] = {other.imag(), -other.real()};
+      } else {
+        half[bin] = {rng.Component(false), rng.Component(false)};
+      }
+    }
+    for (const std::size_t k : {std::size_t{1}, std::size_t{10}, count - 1, count,
+                                count + 3}) {
+      ExpectSelectionMatchesOracle(half, n, k);
+    }
+  }
+}
+
+TEST(SelectTopHarmonicsOracleTest, NanBinsRankBelowEveryNumber) {
+  // A NaN energy has no place in a numeric order; it ranks below every
+  // number, and NaN bins among themselves by bin index.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::complex<double>> half = {
+      {nan, 0.0}, {0.0, 0.0}, {1.0, nan}, {0.5, 0.0}, {nan, nan}, {2.0, 0.0}};
+  std::vector<Harmonic> out;
+  const double excluded = SelectTopHarmonics(half, 10, 4, &out);
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[0].bin, 5u);
+  EXPECT_EQ(out[1].bin, 3u);
+  EXPECT_EQ(out[2].bin, 1u);
+  EXPECT_EQ(out[3].bin, 0u);
+  EXPECT_TRUE(std::isnan(excluded));  // Bin 2, the next NaN bin.
+  SelectTopHarmonics(half, 10, 6, &out);
+  ASSERT_EQ(out.size(), 6u);
+  EXPECT_EQ(out[4].bin, 2u);
+  EXPECT_EQ(out[5].bin, 4u);
+
+  SpectrumRng rng(0x4a4e);
+  for (std::size_t trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.Next() % 120;
+    const std::size_t count = n / 2 + 1;
+    std::vector<std::complex<double>> spectrum(count);
+    for (auto& bin : spectrum) {
+      bin = {rng.Component(true), rng.Component(true)};
+    }
+    for (const std::size_t k : {std::size_t{1}, std::size_t{10}, count - 1, count,
+                                count + 3}) {
+      ExpectSelectionMatchesOracle(spectrum, n, k);
+    }
+  }
 }
 
 // Property: Parseval's theorem holds across sizes (both FFT paths).
