@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# One-stop verification entry point: tier-1 build + test, the scalar-fallback
-# and chaos passes, then Release smoke runs of the gated benches (sketch
+# One-stop verification entry point: tier-1 build + test, the scalar-fallback,
+# AVX2-table and chaos passes, then the kernel parity test and FFT golden
+# from a Release build and Release smoke runs of the gated benches (sketch
 # parity, zero-allocation and flat-memory gates, SIMD kernel parity, daemon
 # resilience, forecaster latency — a non-zero exit means a gate failed).
 # End-to-end throughput is measured separately by perfbench/run.py.
@@ -39,6 +40,14 @@ echo "== scalar fallback: FEMUX_SIMD=off stats/forecast/core suites =="
 (cd "$ROOT/build" && FEMUX_SIMD=off ctest --output-on-failure -j"$(nproc)" \
     -R '^(stats|forecast|core)_')
 
+# The widest table runs by default; pin the AVX2 one too, so on an AVX-512
+# host the AVX2 table still meets every golden end to end. (On a host
+# without AVX2 the variable falls back to the widest table and the pass
+# repeats the default run.)
+echo "== AVX2 table: FEMUX_SIMD=avx2 stats/forecast/core suites =="
+(cd "$ROOT/build" && FEMUX_SIMD=avx2 ctest --output-on-failure -j"$(nproc)" \
+    -R '^(stats|forecast|core)_')
+
 # Chaos pass: replay the serve suite under external fault-seed matrices.
 # tests/serve/chaos_test.cc swaps its built-in seeds for the FEMUX_FAULTS
 # spec, so each seed below is a full daemon run under a different
@@ -66,6 +75,18 @@ if [[ "$SKIP_BENCH" == "0" ]]; then
   echo "== bench smoke (Release) =="
   cmake -B "$ROOT/build-release" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release > /dev/null
   mkdir -p "$ROOT/bench/out"
+  # Kernel parity and the FFT golden from the Release (-O3) build too: the
+  # loop vectorizer runs only at -O3, and tier-1 builds with -O2.
+  echo "== Release parity: kernel table and FFT golden, widest and AVX2 tables =="
+  cmake --build "$ROOT/build-release" --target stats_simd_kernel_test \
+      forecast_fft_golden_test -j"$(nproc)" > /dev/null
+  for simd in "" avx2; do
+    for t in stats_simd_kernel_test forecast_fft_golden_test; do
+      FEMUX_SIMD="$simd" "$ROOT/build-release/tests/$t" > /dev/null || {
+        echo "Release parity FAILED: $t (table: ${simd:-widest})"; exit 1;
+      }
+    done
+  done
   cmake --build "$ROOT/build-release" --target bench_fleet_scale -j"$(nproc)" > /dev/null
   "$ROOT/build-release/bench/bench_fleet_scale" --smoke \
       --json="$ROOT/bench/out/fleet-scale-smoke.bench-scratch.json" || {
@@ -121,7 +142,7 @@ fi
 
 if [[ "${FEMUX_SANITIZE:-}" == "address" ]]; then
   # stats_* includes simd_kernel_test, which force-activates every compiled
-  # vector table (SSE2/AVX2) with unaligned buffers and lane-boundary tails,
+  # vector table (AVX2/AVX-512) with unaligned buffers and lane-boundary tails,
   # so the vectorized loads/stores of the SIMD layer run under ASan+UBSan;
   # core_* adds the K-means SoA distance path.
   echo "== AddressSanitizer + UBSan: stats + forecast + core tests =="

@@ -14,9 +14,9 @@
 namespace femux {
 namespace simd {
 
-// Defined in simd_isa_{avx2,sse2}.cc; nullptr when not compiled in.
+// Defined in simd_isa_{avx2,avx512}.cc; nullptr when not compiled in.
 const KernelTable* Avx2Table();
-const KernelTable* Sse2Table();
+const KernelTable* Avx512Table();
 
 namespace {
 
@@ -216,21 +216,15 @@ KernelTable MakeScalarTable() {
   return t;
 }
 
-bool CpuHasAvx2() {
+// __builtin_cpu_supports("avx512f") also requires the OS to have enabled
+// the opmask and ZMM register state (libgcc checks XCR0).
+bool CpuSupports(const std::string& isa) {
 #if (defined(__x86_64__) || defined(_M_X64)) && \
     (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
+  if (isa == "avx512") return __builtin_cpu_supports("avx512f") != 0;
+  if (isa == "avx2") return __builtin_cpu_supports("avx2") != 0;
 #endif
-}
-
-bool CpuHasSse2() {
-#if defined(__x86_64__) || defined(_M_X64)
-  return true;  // SSE2 is part of the x86-64 baseline.
-#else
   return false;
-#endif
 }
 
 std::string EnvSetting() {
@@ -243,35 +237,35 @@ std::string EnvSetting() {
   return s;
 }
 
-// Widest table that is both compiled in and supported by this CPU.
+bool EnvForcesScalar(const std::string& env) {
+  return env == "off" || env == "0" || env == "scalar";
+}
+
+// The table named `isa` when it is compiled in and this CPU supports it;
+// nullptr otherwise.
+const KernelTable* Usable(const std::string& isa) {
+  if (isa == "scalar") return &ScalarTable();
+  if (!CpuSupports(isa)) return nullptr;
+  if (isa == "avx512") return Avx512Table();
+  if (isa == "avx2") return Avx2Table();
+  return nullptr;
+}
+
+// Widest usable table: AVX-512, then AVX2, then scalar.
 const KernelTable* WidestAvailable() {
-  if (CpuHasAvx2()) {
-    if (const KernelTable* t = Avx2Table()) return t;
-  }
-  if (CpuHasSse2()) {
-    if (const KernelTable* t = Sse2Table()) return t;
+  for (const char* isa : {"avx512", "avx2"}) {
+    if (const KernelTable* t = Usable(isa)) return t;
   }
   return &ScalarTable();
 }
 
+// "off"/"0"/"scalar" force the scalar table; "avx2" or "avx512" request
+// that table when usable. Anything else ("", "auto", an unusable or
+// unknown ISA such as "sse2") picks the widest.
 const KernelTable* SelectFromEnv() {
   const std::string env = EnvSetting();
-  if (env == "off" || env == "0" || env == "scalar") {
-    return &ScalarTable();
-  }
-  if (env == "sse2") {
-    if (CpuHasSse2()) {
-      if (const KernelTable* t = Sse2Table()) return t;
-    }
-    return WidestAvailable();
-  }
-  if (env == "avx2") {
-    if (CpuHasAvx2()) {
-      if (const KernelTable* t = Avx2Table()) return t;
-    }
-    return WidestAvailable();
-  }
-  // "", "on", "auto", or anything unrecognized: pick the widest.
+  if (EnvForcesScalar(env)) return &ScalarTable();
+  if (const KernelTable* t = Usable(env)) return t;
   return WidestAvailable();
 }
 
@@ -296,51 +290,59 @@ const KernelTable& ActiveTable() {
 
 SimdCaps GetSimdCaps() {
   SimdCaps caps;
-  if (CpuHasAvx2()) {
-    caps.detected_isa = "avx2";
-  } else if (CpuHasSse2()) {
-    caps.detected_isa = "sse2";
-  } else {
-    caps.detected_isa = "scalar";
-  }
+  caps.detected_isa = CpuSupports("avx512") ? "avx512"
+                      : CpuSupports("avx2") ? "avx2"
+                                            : "scalar";
   const KernelTable& active = ActiveTable();
   caps.active_isa = active.isa;
   caps.lanes = active.lanes;
-  const std::string env = EnvSetting();
-  caps.enabled = !(env == "off" || env == "0" || env == "scalar");
+  caps.enabled = !EnvForcesScalar(EnvSetting());
   const char* raw = std::getenv("FEMUX_SIMD");
   caps.env = raw == nullptr ? "" : raw;
   return caps;
 }
 
+namespace {
+
+// The ISA of the body `table`'s entry `member` points at: the AVX-512
+// table borrows AVX2 bodies for some kernels.
+template <typename Fn>
+KernelBody BodyOf(const KernelTable& table, const char* kernel,
+                  Fn KernelTable::*member) {
+  const Fn fn = table.*member;
+  if (fn == ScalarTable().*member) return {kernel, "scalar"};
+  const KernelTable* avx2 = Avx2Table();
+  if (avx2 != nullptr && fn == avx2->*member) return {kernel, "avx2"};
+  return {kernel, table.isa};
+}
+
+}  // namespace
+
+std::vector<KernelBody> KernelBodies(const KernelTable& table) {
+  return {
+      BodyOf(table, "butterfly_stage", &KernelTable::butterfly_stage),
+      BodyOf(table, "cmul_inplace", &KernelTable::cmul_inplace),
+      BodyOf(table, "cmul_to", &KernelTable::cmul_to),
+      BodyOf(table, "cdiv_mul_to", &KernelTable::cdiv_mul_to),
+      BodyOf(table, "real_cmul_to", &KernelTable::real_cmul_to),
+      BodyOf(table, "slide_update", &KernelTable::slide_update),
+      BodyOf(table, "ses_sweep", &KernelTable::ses_sweep),
+      BodyOf(table, "holt_sweep", &KernelTable::holt_sweep),
+      BodyOf(table, "bds_count_within", &KernelTable::bds_count_within),
+      BodyOf(table, "kmeans_distances", &KernelTable::kmeans_distances),
+      BodyOf(table, "gemv_colmajor", &KernelTable::gemv_colmajor),
+      BodyOf(table, "axpy", &KernelTable::axpy),
+      BodyOf(table, "dot_unordered", &KernelTable::dot_unordered),
+  };
+}
+
 bool ForceIsaForTest(const std::string& isa) {
-  if (isa.empty()) {
-    g_active.store(SelectFromEnv(), std::memory_order_release);
-    return true;
-  }
-  if (isa == "scalar") {
-    g_active.store(&ScalarTable(), std::memory_order_release);
-    return true;
-  }
-  if (isa == "sse2") {
-    if (CpuHasSse2()) {
-      if (const KernelTable* t = Sse2Table()) {
-        g_active.store(t, std::memory_order_release);
-        return true;
-      }
-    }
+  const KernelTable* t = isa.empty() ? SelectFromEnv() : Usable(isa);
+  if (t == nullptr) {
     return false;
   }
-  if (isa == "avx2") {
-    if (CpuHasAvx2()) {
-      if (const KernelTable* t = Avx2Table()) {
-        g_active.store(t, std::memory_order_release);
-        return true;
-      }
-    }
-    return false;
-  }
-  return false;
+  g_active.store(t, std::memory_order_release);
+  return true;
 }
 
 }  // namespace simd

@@ -4,9 +4,11 @@
 // Bluestein chirp multiplies, sliding-DFT bin updates, SES/Holt grid
 // sweeps, BDS neighbor counting, K-means distance loops, and the dot/axpy
 // primitives — funnels through the free functions below. Each function is
-// dispatched at runtime to the widest instruction set the CPU supports
-// (AVX2 → SSE2 → scalar on x86-64; scalar elsewhere), with the scalar
-// implementation always available as the reference.
+// dispatched at runtime to the widest table the CPU supports: AVX-512
+// (8 lanes) → AVX2 (4 lanes) → scalar on x86-64, scalar elsewhere, with
+// the scalar implementation always available as the reference. The
+// AVX-512 table takes a kernel's 512-bit body only where it measures
+// faster than the AVX2 body (KernelBodies names each entry's body).
 //
 // Parity contract: every vectorized implementation is *bit-identical* to
 // the scalar one, input for input. This is achievable because each kernel
@@ -22,8 +24,9 @@
 //
 // Environment:
 //   FEMUX_SIMD=off|0|scalar   force the scalar implementations
-//   FEMUX_SIMD=sse2|avx2      force a specific ISA (falls back to the
-//                             widest supported one if unavailable)
+//   FEMUX_SIMD=avx2|avx512    force a specific table (falls back to the
+//                             widest supported one if unavailable; so
+//                             does any other value)
 //
 // The complex kernels operate on the guaranteed (re, im) array layout of
 // std::complex<double> and implement the finite-math fast path of C99
@@ -45,7 +48,7 @@ namespace simd {
 // One entry per kernel family, exported so bench JSONs can attribute perf
 // numbers to the exact dispatch decision (DESIGN.md §12).
 struct KernelTable {
-  const char* isa = "scalar";  // "scalar" | "sse2" | "avx2"
+  const char* isa = "scalar";  // "scalar" | "avx2" | "avx512"
   int lanes = 1;               // double lanes per vector op
 
   // One radix-2 butterfly stage of width `len` over `n` complex samples:
@@ -129,6 +132,20 @@ struct KernelTable {
 const KernelTable& ScalarTable();
 const KernelTable& ActiveTable();
 
+// The 512-bit body of every kernel, including those whose "avx512" table
+// entry points at the AVX2 body; nullptr when AVX-512 is not compiled in
+// or this CPU lacks it. For the parity suite and bench_simd_kernels, which
+// times each 512-bit body against the AVX2 one.
+const KernelTable* Avx512BodyTable();
+
+// The ISA of the body each entry of `table` dispatches to, one per kernel
+// in KernelTable order ("scalar", "avx2" or "avx512").
+struct KernelBody {
+  const char* kernel;
+  const char* isa;
+};
+std::vector<KernelBody> KernelBodies(const KernelTable& table);
+
 // Convenience wrappers through the active table — these are what the
 // product call sites use.
 inline void ButterflyStage(std::complex<double>* a,
@@ -192,7 +209,7 @@ inline double DotUnordered(const double* a, const double* b, std::size_t n) {
 
 // Capability report for observability (bench JSONs, DESIGN.md §12).
 struct SimdCaps {
-  std::string detected_isa;    // Widest ISA the CPU supports ("avx2", ...).
+  std::string detected_isa;    // Widest ISA the CPU supports ("avx512", ...).
   std::string active_isa;      // ISA the dispatch actually selected.
   int lanes = 1;               // Double lanes of the active table.
   bool enabled = true;         // false when FEMUX_SIMD forced scalar.
@@ -200,7 +217,7 @@ struct SimdCaps {
 };
 SimdCaps GetSimdCaps();
 
-// Overrides the active table for tests/benches ("scalar", "sse2", "avx2",
+// Overrides the active table for tests/benches ("scalar", "avx2", "avx512",
 // or "" to restore the environment-driven default). Returns false (and
 // leaves the dispatch unchanged) when the requested ISA is not compiled in
 // or not supported by this CPU. Not thread-safe against concurrent kernel

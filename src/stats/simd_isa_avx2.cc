@@ -1,9 +1,16 @@
-// AVX2 (4-lane) kernel table. This TU is the only one compiled with
-// -mavx2 (see src/stats/CMakeLists.txt); when the compiler cannot target
-// AVX2 it degrades to a stub that reports the table as unavailable, and
-// the dispatcher in simd.cc never offers it.
+// AVX2 (4-lane) kernel table. This TU is compiled with -mavx2 (see
+// src/stats/CMakeLists.txt) and pins its width to 4, so a global -march
+// flag that enables AVX-512 cannot silently turn the "avx2" table into
+// 8-lane code; when the compiler cannot target AVX2 it degrades to a stub
+// that reports the table as unavailable, and the dispatcher in simd.cc
+// never offers it.
 #include "src/stats/simd.h"
 
+#if defined(__AVX2__)
+#define FEMUX_SIMD_VEC_WIDTH 4
+#else
+#define FEMUX_SIMD_VEC_WIDTH 0
+#endif
 #include "src/stats/simd_vec.h"
 
 namespace femux {
@@ -12,7 +19,7 @@ const KernelTable* Avx2Table();
 }  // namespace simd
 }  // namespace femux
 
-#if defined(__AVX2__) && FEMUX_SIMD_VEC_WIDTH == 4
+#if FEMUX_SIMD_VEC_WIDTH == 4
 
 #include <algorithm>
 #include <array>

@@ -1,36 +1,28 @@
 // Internal fixed-width vector-of-double wrapper for the SIMD kernel layer.
 //
-// This header is only included by the per-ISA kernel translation units
-// (simd_isa_avx2.cc is compiled with -mavx2, simd_isa_sse2.cc with the
-// x86-64 baseline). The widest ISA enabled for the *including TU* selects
-// the implementation: AVX2 → 4 lanes, SSE2 → 2 lanes. On targets with
-// neither (non-x86), FEMUX_SIMD_VEC_WIDTH is 0 and the ISA TUs compile to
-// empty stubs — the dispatcher then only offers the scalar table.
+// This header is only included by the per-ISA kernel translation units,
+// and each of them pins the width before including it: simd_isa_avx2.cc
+// (compiled with -mavx2) defines FEMUX_SIMD_VEC_WIDTH 4, simd_isa_avx512.cc
+// (compiled with -mavx512f) defines 8, so a global -march flag cannot
+// silently widen a table. A TU whose compile flags lack its ISA (non-x86,
+// or a compiler without the flag) defines 0 and compiles to an empty stub;
+// the dispatcher then never offers that table.
 //
 // Every operation maps to exactly one IEEE-754 double operation per lane
 // (no FMA, no approximations), which is what makes the kernels written
 // against VecD bit-identical to their scalar references. AddSub is the one
-// composite: even lanes a - b, odd lanes a + b, implemented natively on
-// AVX (vaddsubpd) and as a + (b with even-lane signs flipped) on SSE2 —
-// identical results, since IEEE subtraction is exactly addition of the
-// negation.
+// composite: even lanes a - b, odd lanes a + b, one vaddsubpd on AVX2 and,
+// since AVX-512 has no 512-bit addsub, an add with the even lanes
+// overwritten by a masked subtract at 8 lanes; either way each lane does
+// one IEEE operation.
 #ifndef SRC_STATS_SIMD_VEC_H_
 #define SRC_STATS_SIMD_VEC_H_
 
 #include <cstddef>
 #include <cstdint>
 
-// A TU may pre-define FEMUX_SIMD_VEC_WIDTH before including this header to
-// pin a narrower width than its compile flags allow (the SSE2 TU does this
-// so a global -mavx2 build cannot silently relabel it).
 #ifndef FEMUX_SIMD_VEC_WIDTH
-#if defined(__AVX2__)
-#define FEMUX_SIMD_VEC_WIDTH 4
-#elif defined(__SSE2__) || defined(_M_X64) || defined(__x86_64__)
-#define FEMUX_SIMD_VEC_WIDTH 2
-#else
-#define FEMUX_SIMD_VEC_WIDTH 0
-#endif
+#error "define FEMUX_SIMD_VEC_WIDTH (0, 4 or 8) before including simd_vec.h"
 #endif
 
 #if FEMUX_SIMD_VEC_WIDTH > 0
@@ -38,11 +30,11 @@
 
 namespace femux {
 namespace simd {
-// Anonymous namespace: VecD must have internal linkage. The AVX2 and SSE2
-// TUs define it with different layouts (__m256d vs __m128d), and its
-// members and friend operators would otherwise mangle to identical symbols
-// (Itanium mangling ignores return types) — in a non-inlined build the
-// linker would keep a single comdat definition for both TUs, making one
+// Anonymous namespace: VecD must have internal linkage. The AVX2 and
+// AVX-512 TUs define it with different layouts (__m256d vs __m512d), and
+// its members and friend operators would otherwise mangle to identical
+// symbols (Itanium mangling ignores return types) — in a non-inlined build
+// the linker would keep a single comdat definition for both TUs, making one
 // ISA table silently execute the other ISA's code.
 namespace {
 
@@ -107,53 +99,70 @@ struct VecD {
   }
 };
 
-#else  // FEMUX_SIMD_VEC_WIDTH == 2
+#elif FEMUX_SIMD_VEC_WIDTH == 8
 
+// AVX512F instructions only (no DQ/BW/VL), so the table runs on every
+// AVX-512 CPU. The shuffles and the gather use their masked forms with an
+// all-ones mask (the same instruction): GCC 12's plain forms read an
+// undefined source, which trips -Wmaybe-uninitialized once inlined.
 struct VecD {
-  __m128d v;
-  static constexpr int kWidth = 2;
+  __m512d v;
+  static constexpr int kWidth = 8;
+  static constexpr __mmask8 kAll = 0xFF;
 
-  static VecD Load(const double* p) { return {_mm_loadu_pd(p)}; }
-  void Store(double* p) const { _mm_storeu_pd(p, v); }
-  static VecD Broadcast(double x) { return {_mm_set1_pd(x)}; }
-  static VecD Zero() { return {_mm_setzero_pd()}; }
-  // One complex per vector at width 2: (p[0], p[0]).
-  static VecD LoadPairDup(const double* p) { return {_mm_set1_pd(*p)}; }
+  static VecD Load(const double* p) { return {_mm512_loadu_pd(p)}; }
+  void Store(double* p) const { _mm512_storeu_pd(p, v); }
+  static VecD Broadcast(double x) { return {_mm512_set1_pd(x)}; }
+  static VecD Zero() { return {_mm512_setzero_pd()}; }
+  // (p[0], p[0], p[1], p[1], p[2], p[2], p[3], p[3]); the masked load
+  // reads only the 4 doubles it needs.
+  static VecD LoadPairDup(const double* p) {
+    const __m512i pairs = _mm512_set_epi64(3, 3, 2, 2, 1, 1, 0, 0);
+    return {_mm512_maskz_permutexvar_pd(kAll, pairs,
+                                        _mm512_maskz_loadu_pd(0x0F, p))};
+  }
 
-  friend VecD operator+(VecD a, VecD b) { return {_mm_add_pd(a.v, b.v)}; }
-  friend VecD operator-(VecD a, VecD b) { return {_mm_sub_pd(a.v, b.v)}; }
-  friend VecD operator*(VecD a, VecD b) { return {_mm_mul_pd(a.v, b.v)}; }
-  friend VecD operator/(VecD a, VecD b) { return {_mm_div_pd(a.v, b.v)}; }
+  friend VecD operator+(VecD a, VecD b) { return {_mm512_add_pd(a.v, b.v)}; }
+  friend VecD operator-(VecD a, VecD b) { return {_mm512_sub_pd(a.v, b.v)}; }
+  friend VecD operator*(VecD a, VecD b) { return {_mm512_mul_pd(a.v, b.v)}; }
+  friend VecD operator/(VecD a, VecD b) { return {_mm512_div_pd(a.v, b.v)}; }
 
-  VecD DupEven() const {
-    return {_mm_shuffle_pd(v, v, 0x0)};
-  }
-  VecD DupOdd() const {
-    return {_mm_shuffle_pd(v, v, 0x3)};
-  }
-  VecD SwapPairs() const {
-    return {_mm_shuffle_pd(v, v, 0x1)};
-  }
-  // SSE2 has no addsubpd (that is SSE3); a - b == a + (-b) exactly in
-  // IEEE-754, so flip the sign of the even lane and add.
+  // The pair shuffles work within each 128-bit lane, as at 4 lanes.
+  VecD DupEven() const { return {_mm512_maskz_movedup_pd(kAll, v)}; }
+  VecD DupOdd() const { return {_mm512_maskz_permute_pd(kAll, v, 0xFF)}; }
+  VecD SwapPairs() const { return {_mm512_maskz_permute_pd(kAll, v, 0x55)}; }
+  // Even lanes a - b (mask 0x55), odd lanes a + b.
   static VecD AddSub(VecD a, VecD b) {
-    const __m128d flip = _mm_set_pd(0.0, -0.0);
-    return {_mm_add_pd(a.v, _mm_xor_pd(b.v, flip))};
+    return {_mm512_mask_sub_pd(_mm512_add_pd(a.v, b.v), 0x55, a.v, b.v)};
   }
-  // (a0, b0) and (a1, b1) (see the AVX2 overloads).
-  static VecD UnpackLo(VecD a, VecD b) { return {_mm_unpacklo_pd(a.v, b.v)}; }
-  static VecD UnpackHi(VecD a, VecD b) { return {_mm_unpackhi_pd(a.v, b.v)}; }
+  // Within each 128-bit lane, as at 4 lanes: the split permutes the bins
+  // and their twiddles in the same way, and the interleave undoes it.
+  static VecD UnpackLo(VecD a, VecD b) {
+    return {_mm512_maskz_unpacklo_pd(kAll, a.v, b.v)};
+  }
+  static VecD UnpackHi(VecD a, VecD b) {
+    return {_mm512_maskz_unpackhi_pd(kAll, a.v, b.v)};
+  }
 
-  VecD Abs() const { return {_mm_andnot_pd(_mm_set1_pd(-0.0), v)}; }
+  VecD Abs() const { return {_mm512_abs_pd(v)}; }
+  // Lane bitmask of this <= b (bit i = lane i).
   int LeMask(VecD b) const {
-    return _mm_movemask_pd(_mm_cmple_pd(v, b.v));
+    return _mm512_cmp_pd_mask(v, b.v, _CMP_LE_OQ);
   }
+  // Gather base[idx[lane] + offset] for 8 uint32 indices.
   static VecD Gather(const double* base, const std::uint32_t* idx,
                      std::size_t offset) {
-    return {_mm_set_pd(base[idx[1] + offset], base[idx[0] + offset])};
+    const __m256i lanes =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
+    const __m256i shifted = _mm256_add_epi32(
+        lanes, _mm256_set1_epi32(static_cast<int>(offset)));
+    return {_mm512_mask_i32gather_pd(_mm512_setzero_pd(), kAll, shifted,
+                                     base, 8)};
   }
 };
 
+#else
+#error "FEMUX_SIMD_VEC_WIDTH must be 0, 4 or 8"
 #endif  // FEMUX_SIMD_VEC_WIDTH
 
 }  // namespace

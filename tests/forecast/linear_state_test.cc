@@ -249,7 +249,7 @@ TEST(LinearStateTest, ForecastsAgreeBitwiseAcrossForcedIsas) {
       scalar_instance.Forecast(std::span<const double>(window), 2);
   const auto scalar_roll = RollingForecast(scalar_instance, window, 120, 10);
 
-  for (const char* isa : {"sse2", "avx2"}) {
+  for (const char* isa : {"avx2", "avx512"}) {
     if (!simd::ForceIsaForTest(isa)) {
       continue;  // Not compiled in / unsupported CPU: nothing to compare.
     }

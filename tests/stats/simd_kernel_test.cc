@@ -1,20 +1,24 @@
 // Randomized scalar-vs-SIMD parity for every kernel in the SIMD layer
 // (DESIGN.md §12). Each test sweeps every vector table compiled in and
-// supported on this CPU against the scalar reference and demands
+// supported on this CPU (AVX2, AVX-512, and the 512-bit bodies the AVX-512
+// table does not dispatch to) against the scalar reference and demands
 // bit-identical output (byte compare), per the KernelTable contract — the
 // one exception is dot_unordered, whose contract is tolerance-based.
 // Inputs deliberately cover tail lengths 1..4*lanes around the lane
-// boundary (past a whole 9-group block for the SES/Holt sweeps, past three
-// 2-group blocks for the sliding-DFT slides), denormals
-// and negative zeros, and unaligned (off-by-one element) buffer offsets,
-// which is where lane-tail bugs live.
+// boundary at the widest table's lanes (past a whole 9-group block for the
+// SES/Holt sweeps, past three 2-group blocks, a one-group block and a
+// scalar tail for the sliding-DFT slides), denormals and negative zeros,
+// and unaligned (off-by-one element) buffer offsets, which is where
+// lane-tail bugs live.
 #include "src/stats/simd.h"
 
 #include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -88,17 +92,22 @@ void ExpectBitEqual(const std::complex<double>* a,
                  reinterpret_cast<const double*>(b), 2 * n, isa, case_id);
 }
 
-// Every non-scalar table available on this machine. Empty on hardware
-// without SSE2/AVX2 — the tests then pass vacuously, which is correct:
-// there is no vector path to diverge.
+// Every non-scalar table available on this machine, and the AVX-512 body
+// of every kernel, so a body the AVX-512 table borrows from AVX2 today is
+// still held to the contract. Empty on hardware without AVX2 — the tests
+// then pass vacuously, which is correct: there is no vector path to
+// diverge.
 std::vector<const simd::KernelTable*> VectorTables() {
   std::vector<const simd::KernelTable*> out;
-  for (const char* isa : {"sse2", "avx2"}) {
+  for (const char* isa : {"avx2", "avx512"}) {
     if (simd::ForceIsaForTest(isa)) {
       out.push_back(&simd::ActiveTable());
     }
   }
   simd::ForceIsaForTest("");
+  if (const simd::KernelTable* bodies = simd::Avx512BodyTable()) {
+    out.push_back(bodies);
+  }
   return out;
 }
 
@@ -176,6 +185,10 @@ TEST(SimdKernelTest, SlideUpdateMatchesScalarBitwise) {
   const std::size_t lanes = static_cast<std::size_t>(MaxLanes());
   const std::size_t max_n = 3 * kSlideBlockGroups * lanes + lanes + 1;
   for (const simd::KernelTable* table : VectorTables()) {
+    // Three 2-group blocks, a one-group block and a scalar tail at this
+    // table's width.
+    const std::size_t width = static_cast<std::size_t>(table->lanes);
+    ASSERT_GE(max_n, (3 * kSlideBlockGroups + 1) * width + 1) << table->isa;
     Rng rng(0x511de + table->lanes);
     for (std::size_t n = 0; n <= max_n; ++n) {
       for (const std::size_t slides : {0u, 1u, 2u, 5u, 32u}) {
@@ -229,6 +242,10 @@ TEST(SimdKernelTest, SesSweepMatchesScalarBitwise) {
   const simd::KernelTable& scalar = simd::ScalarTable();
   const std::size_t max_g = MaxSweepGrid();
   for (const simd::KernelTable* table : VectorTables()) {
+    // A whole block and a padded group past it at this table's width.
+    ASSERT_GT(max_g, (kSweepBlockGroups + 1) *
+                         static_cast<std::size_t>(table->lanes))
+        << table->isa;
     Rng rng(0x5e5 + table->lanes);
     for (std::size_t g = 1; g <= max_g; ++g) {
       const std::size_t n = 2 + rng.Next() % 60;
@@ -447,9 +464,76 @@ TEST(SimdKernelTest, CapsReportConsistentDispatch) {
   if (caps.detected_isa == "scalar") {
     EXPECT_EQ(caps.active_isa, "scalar");
   }
-  if (caps.detected_isa == "sse2") {
-    EXPECT_NE(caps.active_isa, "avx2");
+  if (caps.detected_isa == "avx2") {
+    EXPECT_NE(caps.active_isa, "avx512");
   }
+}
+
+// Each entry names the body it dispatches to: scalar and AVX2 run only
+// their own, and the AVX-512 table takes, per kernel, its own body or the
+// AVX2 one. The 512-bit body table is the AVX-512 body of every kernel.
+TEST(SimdKernelTest, KernelBodiesNameTheDispatchedBody) {
+  const auto scalar = simd::KernelBodies(simd::ScalarTable());
+  ASSERT_EQ(scalar.size(), 13u);
+  for (const simd::KernelBody& body : scalar) {
+    EXPECT_STREQ(body.isa, "scalar") << body.kernel;
+  }
+  if (simd::ForceIsaForTest("avx2")) {
+    for (const simd::KernelBody& body :
+         simd::KernelBodies(simd::ActiveTable())) {
+      EXPECT_STREQ(body.isa, "avx2") << body.kernel;
+    }
+  }
+  if (simd::ForceIsaForTest("avx512")) {
+    const auto bodies = simd::KernelBodies(simd::ActiveTable());
+    ASSERT_EQ(bodies.size(), 13u);
+    for (std::size_t i = 0; i < bodies.size(); ++i) {
+      EXPECT_STREQ(bodies[i].kernel, scalar[i].kernel);
+      EXPECT_TRUE(std::strcmp(bodies[i].isa, "avx512") == 0 ||
+                  std::strcmp(bodies[i].isa, "avx2") == 0)
+          << bodies[i].kernel << " " << bodies[i].isa;
+    }
+    ASSERT_NE(simd::Avx512BodyTable(), nullptr);
+    for (const simd::KernelBody& body :
+         simd::KernelBodies(*simd::Avx512BodyTable())) {
+      EXPECT_STREQ(body.isa, "avx512") << body.kernel;
+    }
+  }
+  simd::ForceIsaForTest("");
+}
+
+// FEMUX_SIMD names a table; "off" forces scalar, and any value that names
+// no usable table, such as the retired "sse2", picks the widest one.
+TEST(SimdKernelTest, EnvSelectsTablesAndRetiredIsasPickTheWidest) {
+  // EXPECT only, so the variable and the dispatch are always restored.
+  const char* raw = std::getenv("FEMUX_SIMD");
+  const bool was_set = raw != nullptr;
+  const std::string saved = was_set ? raw : "";
+  setenv("FEMUX_SIMD", "", 1);
+  simd::ForceIsaForTest("");
+  const std::string widest = simd::ActiveTable().isa;
+  for (const char* value : {"sse2", "avx9000", "auto"}) {
+    setenv("FEMUX_SIMD", value, 1);
+    simd::ForceIsaForTest("");
+    EXPECT_EQ(simd::ActiveTable().isa, widest) << value;
+  }
+  setenv("FEMUX_SIMD", "off", 1);
+  simd::ForceIsaForTest("");
+  EXPECT_STREQ(simd::ActiveTable().isa, "scalar");
+  for (const char* isa : {"avx2", "avx512"}) {
+    if (!simd::ForceIsaForTest(isa)) {
+      continue;  // Not compiled in / unsupported CPU.
+    }
+    setenv("FEMUX_SIMD", isa, 1);
+    simd::ForceIsaForTest("");
+    EXPECT_STREQ(simd::ActiveTable().isa, isa);
+  }
+  if (was_set) {
+    setenv("FEMUX_SIMD", saved.c_str(), 1);
+  } else {
+    unsetenv("FEMUX_SIMD");
+  }
+  simd::ForceIsaForTest("");
 }
 
 }  // namespace
