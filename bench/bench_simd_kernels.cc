@@ -1,33 +1,27 @@
 // Per-kernel benchmark of the SIMD kernel layer (DESIGN.md §12).
 //
-// For every kernel in simd::KernelTable, times the scalar reference, the
-// AVX2 body and the AVX-512 body side by side on identical inputs shaped
-// like the calls the code makes: the stages of the 4,096-point convolution
-// FFT and the Bluestein multiplies of a 2,880-sample window, sliding-DFT
-// flushes of 1, 5 and 20 slides over its 1,441 bins (refit 1, the
+// For every kernel in simd::KernelTable, times the scalar, AVX2 and
+// AVX-512 tables side by side on identical inputs shaped like the calls
+// the code makes: the stages of the 4,096-point convolution FFT and the
+// Bluestein multiplies of a 2,880-sample window, sliding-DFT flushes of
+// 1, 5 and 20 slides over its 1,441 bins (refit 1, the
 // library's default refit 5, and the refit 20 of every FeMux model in
 // perfbench and the benches), the SES and Holt grids over the 120-sample
 // serving window, BDS windows, the trainer's 10-cluster K-means over the
 // 4 default features, the linear_state and LSTM recurrences, and the OLS
 // normal-equation accumulations of the feature extractor. Each time is the
-// median of kRepeats repeats, with the bodies' order rotated from repeat
+// median of kRepeats repeats, with the tables' order rotated from repeat
 // to repeat so drift hits each alike, and their min and max.
 //
-// The AVX-512 table takes a kernel's 512-bit body only where it is faster
-// than the AVX2 body at these shapes; each row names the body the table's
-// entry takes (simd::KernelBodies) and the vector body that was faster in
-// this run, which is what justifies the choice.
-//
 // Gates:
-//   1. Parity. Every vector body's output must be byte-identical to the
+//   1. Parity. Every vector table's output must be byte-identical to the
 //      scalar table's on the same inputs (the layer's contract), except
 //      dot_unordered which is tolerance-checked at 1e-9 relative.
 //   2. Speedup. When the active table has >= 2 lanes, at least two rows
-//      must reach >= 1.5x over scalar (medians, through the body the
-//      active entry dispatches to). When only the scalar table is
-//      available (non-x86 hardware, or FEMUX_SIMD=off), the gate records
-//      itself as skipped with the detected ISA instead of passing
-//      vacuously.
+//      must reach >= 1.5x over scalar (medians of the active table).
+//      When only the scalar table is available (non-x86 hardware, or
+//      FEMUX_SIMD=off), the gate records itself as skipped with the
+//      detected ISA instead of passing vacuously.
 //
 // Usage: bench_simd_kernels [--smoke] [--json=PATH]
 #include "bench/common.h"
@@ -99,8 +93,7 @@ std::vector<double> Flat(const std::vector<std::complex<double>>& v) {
 // Defeats dead-code elimination across timing loops.
 volatile double g_sink = 0.0;
 
-// A table whose bodies are timed: "scalar", "avx2" or "avx512" (every
-// kernel on its 512-bit body, whichever body the AVX-512 entry takes).
+// A table whose bodies are timed: "scalar", "avx2" or "avx512".
 struct Body {
   const char* isa;
   const simd::KernelTable* table;
@@ -171,17 +164,6 @@ KernelResult Measure(const std::vector<Body>& bodies, const std::string& name,
   return r;
 }
 
-// The ISA of the body `table`'s entry for `kernel` dispatches to.
-std::string EntryBody(const simd::KernelTable& table,
-                      const std::string& kernel) {
-  for (const simd::KernelBody& body : simd::KernelBodies(table)) {
-    if (kernel == body.kernel) {
-      return body.isa;
-    }
-  }
-  return "";
-}
-
 int BodyIndex(const std::vector<Body>& bodies, const std::string& isa) {
   for (std::size_t b = 0; b < bodies.size(); ++b) {
     if (isa == bodies[b].isa) {
@@ -216,19 +198,16 @@ int main(int argc, char** argv) {
               caps.detected_isa.c_str(), caps.active_isa.c_str(), caps.lanes,
               caps.env.empty() ? "" : (" FEMUX_SIMD=" + caps.env).c_str());
 
-  // The bodies to time, and the body each AVX-512 entry takes.
+  // The tables to time: scalar and every vector table this CPU runs.
   std::vector<Body> bodies = {{"scalar", &simd::ScalarTable()}};
-  if (simd::ForceIsaForTest("avx2")) {
-    bodies.push_back({"avx2", &simd::ActiveTable()});
-  }
-  const simd::KernelTable* avx512_table = nullptr;
-  if (simd::ForceIsaForTest("avx512")) {
-    avx512_table = &simd::ActiveTable();
-    bodies.push_back({"avx512", simd::Avx512BodyTable()});
+  for (const char* isa : {"avx2", "avx512"}) {
+    if (simd::ForceIsaForTest(isa)) {
+      bodies.push_back({isa, &simd::ActiveTable()});
+    }
   }
   simd::ForceIsaForTest("");
 
-  // Full runs take 10-40 ms per repeat and body for the AVX2 body.
+  // Full runs take 10-40 ms per repeat for the AVX2 table.
   const int div = smoke ? 20 : 1;
   auto calls = [div](int full) { return std::max(1, full / div); };
   std::vector<KernelResult> results;
@@ -507,40 +486,24 @@ int main(int argc, char** argv) {
         [&] { return std::vector<double>{dot}; }));
   }
 
-  // Per row: the body the active table's entry dispatches to, its speedup
-  // over scalar, and which vector body was faster here.
+  // Per row: the active table's speedup over scalar.
   bool parity_ok = true;
   int kernels_passing = 0;
-  const int avx2_index = BodyIndex(bodies, "avx2");
-  const int avx512_index = BodyIndex(bodies, "avx512");
+  const std::size_t active_index =
+      static_cast<std::size_t>(std::max(0, BodyIndex(bodies, active.isa)));
   std::printf("%-20s %-40s %10s", "kernel", "shape", "scalar us");
   for (std::size_t b = 1; b < bodies.size(); ++b) {
     std::printf("  %-8s us [min, max]     ", bodies[b].isa);
   }
-  std::printf("  faster  avx512 entry  speedup\n");
-  std::vector<std::string> active_bodies, faster_bodies, avx512_entries;
+  std::printf("  speedup\n");
   std::vector<double> speedups;
   for (const KernelResult& r : results) {
     parity_ok = parity_ok && r.parity_ok;
-    const std::string active_body = EntryBody(active, r.kernel);
-    const int active_index = std::max(0, BodyIndex(bodies, active_body));
-    const double speedup = r.timings[0].median_us /
-                           r.timings[static_cast<std::size_t>(active_index)].median_us;
+    const double speedup =
+        r.timings[0].median_us / r.timings[active_index].median_us;
     if (speedup >= 1.5) {
       ++kernels_passing;
     }
-    std::string faster = "-";
-    if (avx2_index >= 0 && avx512_index >= 0) {
-      faster = r.timings[static_cast<std::size_t>(avx512_index)].median_us <
-                       r.timings[static_cast<std::size_t>(avx2_index)].median_us
-                   ? "avx512"
-                   : "avx2";
-    }
-    const std::string entry =
-        avx512_table != nullptr ? EntryBody(*avx512_table, r.kernel) : "-";
-    active_bodies.push_back(active_body);
-    faster_bodies.push_back(faster);
-    avx512_entries.push_back(entry);
     speedups.push_back(speedup);
     std::printf("%-20s %-40s %10.4f", r.name.c_str(), r.shape.c_str(),
                 r.timings[0].median_us);
@@ -548,8 +511,7 @@ int main(int argc, char** argv) {
       std::printf("  %8.4f [%8.4f, %8.4f]", r.timings[b].median_us,
                   r.timings[b].min_us, r.timings[b].max_us);
     }
-    std::printf("  %-6s  %-12s  %6.2fx %s\n", faster.c_str(), entry.c_str(),
-                speedup,
+    std::printf("  %6.2fx %s\n", speedup,
                 r.parity_ok
                     ? (r.bit_exact ? "(PASS bit-exact)" : "(PASS <= 1e-9)")
                     : "(FAIL parity)");
@@ -593,10 +555,7 @@ int main(int argc, char** argv) {
             << ", \"min\": " << r.timings[b].min_us
             << ", \"max\": " << r.timings[b].max_us << "}";
       }
-      out << "}, \"faster_vector_body\": \"" << faster_bodies[i]
-          << "\", \"avx512_entry\": \"" << avx512_entries[i]
-          << "\", \"active_body\": \"" << active_bodies[i]
-          << "\", \"speedup\": " << speedups[i]
+      out << "}, \"speedup\": " << speedups[i]
           << ", \"bit_exact\": " << (r.bit_exact ? "true" : "false")
           << ", \"parity_ok\": " << (r.parity_ok ? "true" : "false") << "}"
           << (i + 1 < results.size() ? "," : "") << "\n";

@@ -84,9 +84,9 @@ void PrintRow(const std::string& label, double paper, double measured,
 void PrintNote(const std::string& text);
 
 // Renders the process's SIMD capability report (detected ISA, active ISA,
-// lane width, FEMUX_SIMD setting, and the ISA of the body each kernel's
-// entry dispatches to) as a single-line JSON object, for embedding in every
-// bench JSON under a "simd" key so perf numbers are machine-attributable.
+// lane width, FEMUX_SIMD setting, and the dispatch decision per kernel) as
+// a single-line JSON object, for embedding in every bench JSON under a
+// "simd" key so perf numbers are machine-attributable.
 std::string SimdInfoJson();
 
 // Renders a scaler daemon's health as a one-line JSON object: app/tick

@@ -302,40 +302,6 @@ SimdCaps GetSimdCaps() {
   return caps;
 }
 
-namespace {
-
-// The ISA of the body `table`'s entry `member` points at: the AVX-512
-// table borrows AVX2 bodies for some kernels.
-template <typename Fn>
-KernelBody BodyOf(const KernelTable& table, const char* kernel,
-                  Fn KernelTable::*member) {
-  const Fn fn = table.*member;
-  if (fn == ScalarTable().*member) return {kernel, "scalar"};
-  const KernelTable* avx2 = Avx2Table();
-  if (avx2 != nullptr && fn == avx2->*member) return {kernel, "avx2"};
-  return {kernel, table.isa};
-}
-
-}  // namespace
-
-std::vector<KernelBody> KernelBodies(const KernelTable& table) {
-  return {
-      BodyOf(table, "butterfly_stage", &KernelTable::butterfly_stage),
-      BodyOf(table, "cmul_inplace", &KernelTable::cmul_inplace),
-      BodyOf(table, "cmul_to", &KernelTable::cmul_to),
-      BodyOf(table, "cdiv_mul_to", &KernelTable::cdiv_mul_to),
-      BodyOf(table, "real_cmul_to", &KernelTable::real_cmul_to),
-      BodyOf(table, "slide_update", &KernelTable::slide_update),
-      BodyOf(table, "ses_sweep", &KernelTable::ses_sweep),
-      BodyOf(table, "holt_sweep", &KernelTable::holt_sweep),
-      BodyOf(table, "bds_count_within", &KernelTable::bds_count_within),
-      BodyOf(table, "kmeans_distances", &KernelTable::kmeans_distances),
-      BodyOf(table, "gemv_colmajor", &KernelTable::gemv_colmajor),
-      BodyOf(table, "axpy", &KernelTable::axpy),
-      BodyOf(table, "dot_unordered", &KernelTable::dot_unordered),
-  };
-}
-
 bool ForceIsaForTest(const std::string& isa) {
   const KernelTable* t = isa.empty() ? SelectFromEnv() : Usable(isa);
   if (t == nullptr) {

@@ -6,9 +6,11 @@
 // primitives — funnels through the free functions below. Each function is
 // dispatched at runtime to the widest table the CPU supports: AVX-512
 // (8 lanes) → AVX2 (4 lanes) → scalar on x86-64, scalar elsewhere, with
-// the scalar implementation always available as the reference. The
-// AVX-512 table takes a kernel's 512-bit body only where it measures
-// faster than the AVX2 body (KernelBodies names each entry's body).
+// the scalar implementation always available as the reference. That
+// AVX-512-first order was measured only on a Sapphire Rapids Xeon; on
+// CPUs where 512-bit instructions lower the clock (Skylake-SP, Cascade
+// Lake) or run as two 256-bit halves (Zen 4), FEMUX_SIMD=avx2 keeps the
+// 4-lane table, with the same bits.
 //
 // Parity contract: every vectorized implementation is *bit-identical* to
 // the scalar one, input for input. This is achievable because each kernel
@@ -131,20 +133,6 @@ struct KernelTable {
 // first use, in a thread-safe way).
 const KernelTable& ScalarTable();
 const KernelTable& ActiveTable();
-
-// The 512-bit body of every kernel, including those whose "avx512" table
-// entry points at the AVX2 body; nullptr when AVX-512 is not compiled in
-// or this CPU lacks it. For the parity suite and bench_simd_kernels, which
-// times each 512-bit body against the AVX2 one.
-const KernelTable* Avx512BodyTable();
-
-// The ISA of the body each entry of `table` dispatches to, one per kernel
-// in KernelTable order ("scalar", "avx2" or "avx512").
-struct KernelBody {
-  const char* kernel;
-  const char* isa;
-};
-std::vector<KernelBody> KernelBodies(const KernelTable& table);
 
 // Convenience wrappers through the active table — these are what the
 // product call sites use.

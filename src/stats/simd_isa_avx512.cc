@@ -4,13 +4,6 @@
 // pins its width to 8. When the compiler cannot target AVX-512F it
 // degrades to a stub that reports the table as unavailable, and the
 // dispatcher in simd.cc never offers it.
-//
-// Two tables come out of it. Avx512BodyTable() holds the 512-bit body of
-// every kernel. Avx512Table(), the one dispatch selects, takes a kernel's
-// 512-bit body only where bench_simd_kernels measures it faster than the
-// AVX2 body at the shapes the code runs, and the AVX2 body elsewhere;
-// both bodies are byte-identical to the scalar reference, so the choice
-// moves time, never bits.
 #include "src/stats/simd.h"
 
 #if defined(__AVX512F__)
@@ -22,7 +15,6 @@
 
 namespace femux {
 namespace simd {
-const KernelTable* Avx2Table();
 const KernelTable* Avx512Table();
 }  // namespace simd
 }  // namespace femux
@@ -44,10 +36,7 @@ namespace avx512_impl {
 #include "src/stats/simd_kernels.inc"
 }  // namespace avx512_impl
 
-const KernelTable* Avx512BodyTable() {
-  if (!__builtin_cpu_supports("avx512f")) {
-    return nullptr;
-  }
+const KernelTable* Avx512Table() {
   static const KernelTable table = [] {
     KernelTable t;
     t.isa = "avx512";
@@ -70,31 +59,6 @@ const KernelTable* Avx512BodyTable() {
   return &table;
 }
 
-const KernelTable* Avx512Table() {
-  static const KernelTable table = [] {
-    KernelTable t = *Avx512BodyTable();  // Only dispatched when supported.
-    // CMake builds this TU only alongside the AVX2 one, and every AVX-512
-    // CPU has AVX2, so the AVX2 table exists wherever this one runs.
-    const KernelTable& avx2 = *Avx2Table();
-    // Where the 512-bit body was not faster than AVX2's in the median of
-    // each of three full bench_simd_kernels runs (Release, a Sapphire
-    // Rapids Xeon; DESIGN.md §12 has the numbers). The FFT's len-2 and
-    // len-4 stages are too short for 4 complex lanes and run the scalar
-    // tail; the Bluestein multiplies and dot_unordered gained nothing
-    // measurable; SES's 9 alphas fill 2 groups of 8 (7 pad lanes) and its
-    // recurrence is latency-bound, so the 3 AVX2 chains beat the 2 wider
-    // ones.
-    t.butterfly_stage = avx2.butterfly_stage;
-    t.cmul_inplace = avx2.cmul_inplace;
-    t.cmul_to = avx2.cmul_to;
-    t.cdiv_mul_to = avx2.cdiv_mul_to;
-    t.ses_sweep = avx2.ses_sweep;
-    t.dot_unordered = avx2.dot_unordered;
-    return t;
-  }();
-  return &table;
-}
-
 }  // namespace simd
 }  // namespace femux
 
@@ -102,7 +66,6 @@ const KernelTable* Avx512Table() {
 
 namespace femux {
 namespace simd {
-const KernelTable* Avx512BodyTable() { return nullptr; }
 const KernelTable* Avx512Table() { return nullptr; }
 }  // namespace simd
 }  // namespace femux

@@ -1,9 +1,9 @@
 // Randomized scalar-vs-SIMD parity for every kernel in the SIMD layer
 // (DESIGN.md §12). Each test sweeps every vector table compiled in and
-// supported on this CPU (AVX2, AVX-512, and the 512-bit bodies the AVX-512
-// table does not dispatch to) against the scalar reference and demands
-// bit-identical output (byte compare), per the KernelTable contract — the
-// one exception is dot_unordered, whose contract is tolerance-based.
+// supported on this CPU (AVX2, AVX-512) against the scalar reference and
+// demands bit-identical output (byte compare), per the KernelTable
+// contract — the one exception is dot_unordered, whose contract is
+// tolerance-based.
 // Inputs deliberately cover tail lengths 1..4*lanes around the lane
 // boundary at the widest table's lanes (past a whole 9-group block for the
 // SES/Holt sweeps, past three 2-group blocks, a one-group block and a
@@ -92,11 +92,9 @@ void ExpectBitEqual(const std::complex<double>* a,
                  reinterpret_cast<const double*>(b), 2 * n, isa, case_id);
 }
 
-// Every non-scalar table available on this machine, and the AVX-512 body
-// of every kernel, so a body the AVX-512 table borrows from AVX2 today is
-// still held to the contract. Empty on hardware without AVX2 — the tests
-// then pass vacuously, which is correct: there is no vector path to
-// diverge.
+// Every non-scalar table available on this machine. Empty on hardware
+// without AVX2 — the tests then pass vacuously, which is correct: there is
+// no vector path to diverge.
 std::vector<const simd::KernelTable*> VectorTables() {
   std::vector<const simd::KernelTable*> out;
   for (const char* isa : {"avx2", "avx512"}) {
@@ -105,9 +103,6 @@ std::vector<const simd::KernelTable*> VectorTables() {
     }
   }
   simd::ForceIsaForTest("");
-  if (const simd::KernelTable* bodies = simd::Avx512BodyTable()) {
-    out.push_back(bodies);
-  }
   return out;
 }
 
@@ -185,10 +180,6 @@ TEST(SimdKernelTest, SlideUpdateMatchesScalarBitwise) {
   const std::size_t lanes = static_cast<std::size_t>(MaxLanes());
   const std::size_t max_n = 3 * kSlideBlockGroups * lanes + lanes + 1;
   for (const simd::KernelTable* table : VectorTables()) {
-    // Three 2-group blocks, a one-group block and a scalar tail at this
-    // table's width.
-    const std::size_t width = static_cast<std::size_t>(table->lanes);
-    ASSERT_GE(max_n, (3 * kSlideBlockGroups + 1) * width + 1) << table->isa;
     Rng rng(0x511de + table->lanes);
     for (std::size_t n = 0; n <= max_n; ++n) {
       for (const std::size_t slides : {0u, 1u, 2u, 5u, 32u}) {
@@ -242,10 +233,6 @@ TEST(SimdKernelTest, SesSweepMatchesScalarBitwise) {
   const simd::KernelTable& scalar = simd::ScalarTable();
   const std::size_t max_g = MaxSweepGrid();
   for (const simd::KernelTable* table : VectorTables()) {
-    // A whole block and a padded group past it at this table's width.
-    ASSERT_GT(max_g, (kSweepBlockGroups + 1) *
-                         static_cast<std::size_t>(table->lanes))
-        << table->isa;
     Rng rng(0x5e5 + table->lanes);
     for (std::size_t g = 1; g <= max_g; ++g) {
       const std::size_t n = 2 + rng.Next() % 60;
@@ -467,37 +454,10 @@ TEST(SimdKernelTest, CapsReportConsistentDispatch) {
   if (caps.detected_isa == "avx2") {
     EXPECT_NE(caps.active_isa, "avx512");
   }
-}
-
-// Each entry names the body it dispatches to: scalar and AVX2 run only
-// their own, and the AVX-512 table takes, per kernel, its own body or the
-// AVX2 one. The 512-bit body table is the AVX-512 body of every kernel.
-TEST(SimdKernelTest, KernelBodiesNameTheDispatchedBody) {
-  const auto scalar = simd::KernelBodies(simd::ScalarTable());
-  ASSERT_EQ(scalar.size(), 13u);
-  for (const simd::KernelBody& body : scalar) {
-    EXPECT_STREQ(body.isa, "scalar") << body.kernel;
-  }
-  if (simd::ForceIsaForTest("avx2")) {
-    for (const simd::KernelBody& body :
-         simd::KernelBodies(simd::ActiveTable())) {
-      EXPECT_STREQ(body.isa, "avx2") << body.kernel;
-    }
-  }
+  // Where the 8-lane table runs, the parity sweeps loop over it and size
+  // their inputs for 8 lanes.
   if (simd::ForceIsaForTest("avx512")) {
-    const auto bodies = simd::KernelBodies(simd::ActiveTable());
-    ASSERT_EQ(bodies.size(), 13u);
-    for (std::size_t i = 0; i < bodies.size(); ++i) {
-      EXPECT_STREQ(bodies[i].kernel, scalar[i].kernel);
-      EXPECT_TRUE(std::strcmp(bodies[i].isa, "avx512") == 0 ||
-                  std::strcmp(bodies[i].isa, "avx2") == 0)
-          << bodies[i].kernel << " " << bodies[i].isa;
-    }
-    ASSERT_NE(simd::Avx512BodyTable(), nullptr);
-    for (const simd::KernelBody& body :
-         simd::KernelBodies(*simd::Avx512BodyTable())) {
-      EXPECT_STREQ(body.isa, "avx512") << body.kernel;
-    }
+    EXPECT_EQ(MaxLanes(), 8);
   }
   simd::ForceIsaForTest("");
 }
