@@ -58,7 +58,6 @@ double Seconds(std::chrono::steady_clock::time_point start) {
 
 struct ForecasterResult {
   std::string name;
-  bool incremental = false;
   bool learned = false;
   std::size_t decisions = 0;
   std::size_t warm_samples = 0;  // Appended before the timed loop.
@@ -130,7 +129,6 @@ int main(int argc, char** argv) {
     }
     ForecasterResult r;
     r.name = name;
-    r.incremental = prototype->SupportsIncremental();
     r.learned = prototype->HasOpaqueState();
 
     // Learned forecasters train once, offline, on the training prefix; the
@@ -207,10 +205,9 @@ int main(int argc, char** argv) {
                           closed_form[closed_form.size() / 2]));
 
   for (const ForecasterResult& r : results) {
-    std::printf("%-18s %10.3f us/decision  (%zu decisions, %zu warm)%s%s\n",
+    std::printf("%-18s %10.3f us/decision  (%zu decisions, %zu warm)%s\n",
                 r.name.c_str(), r.per_decision_us, r.decisions, r.warm_samples,
-                r.learned ? "  [learned]" : "",
-                r.incremental ? "" : "  [batch fallback]");
+                r.learned ? "  [learned]" : "");
   }
   std::printf("closed-form median: %.3f us/decision\n", median_us);
 
@@ -267,7 +264,6 @@ int main(int argc, char** argv) {
       out << "    \"" << r.name << "\": {\"per_decision_us\": "
           << r.per_decision_us << ", \"decisions\": " << r.decisions
           << ", \"warm_samples\": " << r.warm_samples
-          << ", \"incremental\": " << (r.incremental ? "true" : "false")
           << ", \"learned\": " << (r.learned ? "true" : "false");
       if (r.learned) {
         out << ", \"parity_max_rel\": " << r.parity_max_rel;

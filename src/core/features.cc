@@ -61,16 +61,6 @@ std::vector<Feature> DefaultFeatureSet() {
           Feature::kDensity};
 }
 
-std::string FeatureModeName(FeatureMode mode) {
-  switch (mode) {
-    case FeatureMode::kExact:
-      return "exact";
-    case FeatureMode::kSketch:
-      return "sketch";
-  }
-  return "unknown";
-}
-
 FeatureExtractor::FeatureExtractor(std::vector<Feature> features, FeatureMode mode)
     : features_(std::move(features)), mode_(mode) {}
 

@@ -68,8 +68,6 @@ enum class FeatureMode {
   kSketch,
 };
 
-std::string FeatureModeName(FeatureMode mode);
-
 class FeatureExtractor {
  public:
   // Reusable per-thread scratch for block-sweep callers (the trainer

@@ -13,8 +13,9 @@
 // FitOls's on the same design bit for bit. A SETAR refit first counts each
 // regime's rows, drops threshold candidates with a regime too small to fit,
 // and fits each distinct regime row set once, shared by the candidates that
-// need it (DESIGN.md §6). SETAR has no incremental protocol: it is served
-// through the batch Forecast() path (DESIGN.md §7).
+// need it (DESIGN.md §6). SETAR implements only Forecast(): a stream serves
+// it through the base ForecastNext() once per observed sample, so its
+// refit stride counts samples (DESIGN.md §7).
 #ifndef SRC_FORECAST_AR_H_
 #define SRC_FORECAST_AR_H_
 
@@ -42,7 +43,6 @@ class ArForecaster final : public Forecaster {
   // Parity bound vs the batch path: ~1e-9 relative (Gram sums are
   // reassociated; the state is fully rebuilt every few dozen slides so
   // add/remove cancellation error cannot accumulate).
-  bool SupportsIncremental() const override { return true; }
   void BeginWindow(std::span<const double> window, std::size_t capacity) override;
   void ObserveAppend(std::span<const double> previous,
                      std::span<const double> window) override;

@@ -46,7 +46,6 @@ class FftForecaster final : public Forecaster {
   // are rebuilt from the window every kRebuildSlides slides to bound
   // rounding drift, keeping parity with Forecast(window, 1) within 1e-9
   // scale-relative.
-  bool SupportsIncremental() const override { return true; }
   void BeginWindow(std::span<const double> window, std::size_t capacity) override;
   void ObserveAppend(std::span<const double> previous,
                      std::span<const double> window) override;

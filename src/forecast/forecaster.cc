@@ -5,6 +5,10 @@
 
 namespace femux {
 
+double Forecaster::ForecastNext(std::span<const double> window) {
+  return ForecastOne(*this, window);
+}
+
 double ForecastOne(Forecaster& forecaster, std::span<const double> history) {
   const auto out = forecaster.Forecast(history, 1);
   return out.empty() ? 0.0 : out.front();
@@ -53,7 +57,7 @@ void ForecastStream::Bind(Forecaster& forecaster) {
 
 void ForecastStream::Seed() {
   Reset();
-  if (forecaster_ == nullptr || !forecaster_->SupportsIncremental()) {
+  if (forecaster_ == nullptr) {
     return;
   }
   const std::span<const double> window = ForecasterWindow();
@@ -93,8 +97,7 @@ void ForecastStream::Sync(std::span<const double> history) {
 
 double ForecastStream::Forecast() {
   const std::span<const double> window = ForecasterWindow();
-  if (!forecaster_->SupportsIncremental() || window.empty()) {
-    // Never cached: SETAR paces its refits by counting these calls.
+  if (window.empty()) {
     return ForecastOne(*forecaster_, window);
   }
   if (seeded_ && seen_ == observed_ && has_prediction_) {

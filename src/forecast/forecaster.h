@@ -11,8 +11,8 @@
 // forecast (§5.2).
 //
 // Serving paths hold each app's series ring, observed count and forecaster
-// state in one ForecastStream (below), which drives the incremental
-// protocol and the batch fallback.
+// state in one ForecastStream (below), which drives every forecaster
+// through one incremental protocol.
 #ifndef SRC_FORECAST_FORECASTER_H_
 #define SRC_FORECAST_FORECASTER_H_
 
@@ -49,19 +49,22 @@ class Forecaster {
   // granularity); local models are happier with the 2-hour default.
   virtual std::size_t preferred_history() const { return kDefaultHistoryMinutes; }
 
-  // ---- Incremental sliding-window protocol (opt-in; DESIGN.md §7) ----
+  // ---- Incremental sliding-window protocol (DESIGN.md §7) ----
   //
   // The serving loop slides each application's history window by exactly one
-  // sample per scaling epoch. A forecaster that opts in maintains
-  // sliding-window sufficient statistics (Gram matrices, transition counts,
-  // sliding-DFT bins, ...) so a one-step forecast costs O(1) amortized per
-  // epoch instead of a full per-call refit. ForecastNext() must agree with
+  // sample per scaling epoch. A forecaster may maintain sliding-window
+  // sufficient statistics (Gram matrices, transition counts, sliding-DFT
+  // bins, ...) so a one-step forecast costs O(1) amortized per epoch
+  // instead of a full per-call refit. ForecastNext() must agree with
   // Forecast(window, 1)[0] on the same window within the forecaster's
   // documented parity bound (bit-identical where the math preserves
   // association order, <= ~1e-9 relative where add/remove inherently
   // reassociates sums). Keep state only when it is cheaper than a sweep
-  // of the window: SES, Holt, moving average and keep-alive keep none, and
-  // their ForecastNext() sweeps `window` (DESIGN.md §7).
+  // of the window: SES, Holt, moving average and keep-alive keep none.
+  // The defaults below keep none either: BeginWindow/ObserveAppend do
+  // nothing and ForecastNext() is Forecast(window, 1)[0], so a forecaster
+  // that implements only Forecast() (SETAR, a provider's own) is served
+  // once per observed sample.
   //
   // Callers drive the protocol through ForecastStream below, which owns the
   // window and hands it to every call: `window` is the last
@@ -70,9 +73,6 @@ class Forecaster {
   // stream's ring, which compacts, so they are valid only during the call
   // and a forecaster keeps no copy of the window: only the state the window
   // does not give it.
-
-  // True when ObserveAppend/ForecastNext are implemented.
-  virtual bool SupportsIncremental() const { return false; }
 
   // Discards incremental state and re-seeds it from `window`. Called on
   // first use and whenever more than one sample arrived since the last
@@ -93,11 +93,9 @@ class Forecaster {
   }
 
   // One-step forecast from the current state and `window`, the window of
-  // the last BeginWindow or ObserveAppend.
-  virtual double ForecastNext(std::span<const double> window) {
-    (void)window;
-    return 0.0;
-  }
+  // the last BeginWindow or ObserveAppend. Defaults to
+  // Forecast(window, 1)[0] (0 when that is empty).
+  virtual double ForecastNext(std::span<const double> window);
 
   // ---- Opaque learned state (opt-in; DESIGN.md §15) ----
   //
@@ -138,9 +136,9 @@ class Forecaster {
 // The stream appends every sample itself, so it knows how many samples
 // arrived since the forecaster last advanced: exactly one is an
 // ObserveAppend, none replays the cached prediction, and more than one (or
-// any call after Reset) re-seeds the window with BeginWindow.
-// Batch forecasters (no protocol) reach Forecast() on every call, replays
-// included: SETAR counts calls to pace its refits.
+// any call after Reset) re-seeds the window with BeginWindow. So the
+// forecaster runs at most once per observed count: a forecaster that
+// paces its refits by counting calls (SETAR) counts samples.
 //
 // Exception rule: the record of the forecaster's state is cleared before
 // any call into the forecaster and set again only after the call returns,

@@ -66,7 +66,6 @@ class LinearStateForecaster : public Forecaster {
   std::size_t preferred_history() const override { return options_.window; }
 
   // Incremental sliding-window protocol.
-  bool SupportsIncremental() const override { return true; }
   void BeginWindow(std::span<const double> window, std::size_t capacity) override;
   void ObserveAppend(std::span<const double> previous,
                      std::span<const double> window) override;

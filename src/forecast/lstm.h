@@ -56,7 +56,6 @@ class LstmForecaster final : public Forecaster {
   // history length, with no re-training and bit-exact agreement with the
   // batch path. The forward pass itself runs on the SIMD GemvColMajor
   // kernel. No window state is kept, so the base ObserveAppend serves.
-  bool SupportsIncremental() const override { return true; }
   void BeginWindow(std::span<const double> window, std::size_t capacity) override;
   double ForecastNext(std::span<const double> window) override;
 

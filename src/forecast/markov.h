@@ -31,7 +31,6 @@ class MarkovChainForecaster final : public Forecaster {
   // change) the counts are recounted from the window in batch order.
   // Parity bound vs the batch path: counts are exact (small integers),
   // level sums are within ~1e-9 relative between recounts.
-  bool SupportsIncremental() const override { return true; }
   void BeginWindow(std::span<const double> window, std::size_t capacity) override;
   void ObserveAppend(std::span<const double> previous,
                      std::span<const double> window) override;

@@ -51,17 +51,6 @@ std::vector<std::unique_ptr<Forecaster>> MakeFemuxForecasterSet(
   return set;
 }
 
-std::vector<std::unique_ptr<Forecaster>> MakeLearnedFemuxForecasterSet(
-    std::size_t refit_interval) {
-  // The default set plus the trained linear-recurrence forecaster. Kept as
-  // a separate opt-in factory so the committed model/decision goldens that
-  // pin the default set's forecaster indices stay valid.
-  std::vector<std::unique_ptr<Forecaster>> set =
-      MakeFemuxForecasterSet(refit_interval);
-  set.push_back(MakeForecasterByName("linear_state", refit_interval));
-  return set;
-}
-
 std::unique_ptr<Forecaster> MakeForecasterByName(std::string_view name,
                                                  std::size_t refit_interval) {
   if (name == "ar") {

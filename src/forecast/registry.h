@@ -15,14 +15,9 @@ namespace femux {
 // 5-minute keep-alive and the 1-minute moving average, built by name.
 // `refit_interval` controls how often AR/SETAR/FFT re-estimate their models
 // (1 = every call; offline simulation uses a larger stride for speed).
+// A model with learned members ("linear_state", DESIGN.md §15) names its
+// set in TrainerOptions::forecaster_names instead.
 std::vector<std::unique_ptr<Forecaster>> MakeFemuxForecasterSet(
-    std::size_t refit_interval = 1);
-
-// The default unit extended with the trained learned forecaster(s)
-// (currently "linear_state", DESIGN.md §15). Opt-in: the default set's
-// forecaster indices are pinned by committed model goldens, so learned
-// members are always appended after it.
-std::vector<std::unique_ptr<Forecaster>> MakeLearnedFemuxForecasterSet(
     std::size_t refit_interval = 1);
 
 // Builds a forecaster by name: "ar", "setar", "fft", "exp_smoothing",

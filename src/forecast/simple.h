@@ -36,7 +36,6 @@ class MovingAverageForecaster final : public Forecaster {
   std::size_t preferred_history() const override {
     return std::max(kDefaultHistoryMinutes, window_);
   }
-  bool SupportsIncremental() const override { return true; }
   double ForecastNext(std::span<const double> window) override;
 
  private:
@@ -60,7 +59,6 @@ class KeepAliveForecaster final : public Forecaster {
   std::size_t preferred_history() const override {
     return std::max(kDefaultHistoryMinutes, window_);
   }
-  bool SupportsIncremental() const override { return true; }
   double ForecastNext(std::span<const double> window) override;
 
  private:

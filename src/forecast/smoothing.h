@@ -32,7 +32,6 @@ class ExponentialSmoothingForecaster final : public Forecaster {
                                std::size_t horizon) override;
   std::unique_ptr<Forecaster> Clone() const override;
 
-  bool SupportsIncremental() const override { return true; }
   double ForecastNext(std::span<const double> window) override;
 };
 
@@ -45,7 +44,6 @@ class HoltForecaster final : public Forecaster {
                                std::size_t horizon) override;
   std::unique_ptr<Forecaster> Clone() const override;
 
-  bool SupportsIncremental() const override { return true; }
   double ForecastNext(std::span<const double> window) override;
 };
 

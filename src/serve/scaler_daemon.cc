@@ -149,19 +149,6 @@ ScalerDaemon::ScalerDaemon(const ScalerDaemonOptions& options)
   for (std::size_t i = 0; i < options_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  if (options_.checkpoint_every_ticks > 0 && !options_.checkpoint_path.empty()) {
-    // Periodic checkpoint event; reschedules itself. The flag is consumed
-    // at the end of the same tick, after decisions, so the snapshot sees
-    // this tick's state.
-    struct Rearm {
-      ScalerDaemon* daemon;
-      void operator()() const {
-        daemon->checkpoint_due_ = true;
-        daemon->wheel_.Schedule(daemon->options_.checkpoint_every_ticks, Rearm{daemon});
-      }
-    };
-    wheel_.Schedule(options_.checkpoint_every_ticks, Rearm{this});
-  }
 }
 
 ScalerDaemon::~ScalerDaemon() { Stop(); }
@@ -448,7 +435,7 @@ void ScalerDaemon::DecideShard(Shard& shard, std::uint64_t tick) {
 
 void ScalerDaemon::TickOnce() {
   const std::uint64_t tick = tick_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-  wheel_.Advance();
+  ++ticks_run_;
 
   const auto work = [&](std::size_t shard_index) {
     Shard& shard = *shards_[shard_index];
@@ -475,12 +462,13 @@ void ScalerDaemon::TickOnce() {
     }
   }
 
-  // A due checkpoint costs the tick a copy: the writer thread formats and
+  // A due checkpoint costs the tick a copy, after the decisions so the
+  // snapshot sees this tick's state: the writer thread formats and
   // publishes it. A write still in flight is waited for, never skipped.
   bool waited = false;
   double checkpoint_us = 0.0;
-  if (checkpoint_due_) {
-    checkpoint_due_ = false;
+  if (options_.checkpoint_every_ticks > 0 && !options_.checkpoint_path.empty() &&
+      ticks_run_ % options_.checkpoint_every_ticks == 0) {
     const auto checkpoint_start = Clock::now();
     waited = WaitForCheckpointWrite();
     StartCheckpointWrite(SnapshotCheckpoint());

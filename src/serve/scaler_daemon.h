@@ -3,8 +3,8 @@
 // This is the long-running service form of the serving hot path: queue-proxy
 // style metric pushes from many applications arrive concurrently into
 // bounded per-shard queues (backpressure = drop + count, never block or
-// grow unbounded), and a timer wheel drives the 2 s autoscaler tick that
-// drains the queues and produces one scaling decision per app. Per-app
+// grow unbounded), and each 2 s autoscaler tick drains the queues and
+// produces one scaling decision per app. Per-app
 // serving state is the same ForecastStream (series ring, observed count,
 // forecaster state) the simulator's policies use (DESIGN.md §7/§11),
 // sharded by app-id hash so tick work parallelizes over shards on the
@@ -75,7 +75,6 @@
 #include "src/core/serialize.h"
 #include "src/forecast/forecaster.h"
 #include "src/serve/fault.h"
-#include "src/serve/timer_wheel.h"
 
 namespace femux {
 
@@ -199,11 +198,13 @@ class ScalerDaemon {
   // before the queue, modelling a lossy queue-proxy → autoscaler path.
   bool Push(const MetricPush& push);
 
-  // One autoscaler tick: advances the timer wheel (periodic checkpoints),
-  // drains every shard queue, then runs the decision ladder for every
-  // registered app (breaker open→half-open transitions happen lazily
-  // here, on the decision path). Deterministic given the same pushes,
-  // options, and fault spec.
+  // One autoscaler tick: drains every shard queue, then runs the decision
+  // ladder for every registered app (breaker open→half-open transitions
+  // happen lazily here, on the decision path), then makes the periodic
+  // checkpoint when this is the daemon's checkpoint_every_ticks-th,
+  // 2 x checkpoint_every_ticks-th, ... TickOnce() since construction (not
+  // tick_count(), which a restore moves). Deterministic given the same
+  // pushes, options, and fault spec.
   void TickOnce();
 
   // Real-time mode: a background thread calls TickOnce() every
@@ -338,11 +339,11 @@ class ScalerDaemon {
   std::unique_ptr<Forecaster> prototype_;
   FaultInjector injector_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  TimerWheel wheel_;
   // Written by the tick thread, read by accessors on any thread (relaxed:
   // it is a progress counter, never a synchronization point).
   std::atomic<std::uint64_t> tick_count_{0};
-  bool checkpoint_due_ = false;  // Set by the wheel event, consumed in-tick.
+  // TickOnce() calls since construction: the periodic checkpoint's clock.
+  std::uint64_t ticks_run_ = 0;
   // Tick/checkpoint/restore counters, written by the tick and writer
   // threads and read by counters() on any thread.
   mutable std::mutex counters_mu_;

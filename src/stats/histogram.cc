@@ -1,78 +1,8 @@
 #include "src/stats/histogram.h"
 
 #include <algorithm>
-#include <cassert>
-#include <sstream>
 
 namespace femux {
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets + 1, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::Add(double value, std::size_t weight) {
-  std::size_t idx;
-  if (value < lo_) {
-    idx = 0;
-  } else if (value >= hi_) {
-    idx = counts_.size() - 1;  // Overflow bucket.
-  } else {
-    idx = static_cast<std::size_t>((value - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 2);
-  }
-  counts_[idx] += weight;
-  total_ += weight;
-}
-
-double Histogram::bucket_low(std::size_t bucket) const {
-  return lo_ + static_cast<double>(bucket) * width_;
-}
-
-double Histogram::Quantile(double q) const {
-  if (total_ == 0) {
-    return lo_;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      if (counts_[i] == 0) {
-        return bucket_low(i);
-      }
-      const double frac = (target - cum) / static_cast<double>(counts_[i]);
-      return bucket_low(i) + frac * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-double Histogram::FractionBelow(double value) const {
-  if (total_ == 0) {
-    return 0.0;
-  }
-  std::size_t below = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (bucket_low(i) + width_ <= value) {
-      below += counts_[i];
-    }
-  }
-  return static_cast<double>(below) / static_cast<double>(total_);
-}
-
-std::size_t Histogram::ModeBucket() const {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < counts_.size(); ++i) {
-    if (counts_[i] > counts_[best]) {
-      best = i;
-    }
-  }
-  return best;
-}
 
 std::vector<CdfPoint> EmpiricalCdf(std::vector<double> values, std::size_t points) {
   std::vector<CdfPoint> cdf;
@@ -88,14 +18,6 @@ std::vector<CdfPoint> EmpiricalCdf(std::vector<double> values, std::size_t point
     cdf.push_back({values[idx], frac});
   }
   return cdf;
-}
-
-std::string FormatCdf(std::span<const CdfPoint> cdf) {
-  std::ostringstream out;
-  for (const CdfPoint& p : cdf) {
-    out << p.value << '\t' << p.fraction << '\n';
-  }
-  return out.str();
 }
 
 }  // namespace femux

@@ -1,40 +1,11 @@
-// Histogram and empirical-CDF helpers used by the characterization benches
-// and by the hybrid-histogram keep-alive baseline (Shahrad et al. '20).
+// Empirical-CDF helper for the characterization benches (Figs 2 and 3).
 #ifndef SRC_STATS_HISTOGRAM_H_
 #define SRC_STATS_HISTOGRAM_H_
 
 #include <cstddef>
-#include <span>
-#include <string>
 #include <vector>
 
 namespace femux {
-
-// Fixed-width histogram over [lo, hi) with an overflow bucket at the end.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double value, std::size_t weight = 1);
-  std::size_t total() const { return total_; }
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const { return counts_[bucket]; }
-  double bucket_low(std::size_t bucket) const;
-
-  // Linear-interpolated quantile over bucket boundaries; q in [0, 1].
-  double Quantile(double q) const;
-  // Fraction of observations strictly below `value` (bucket resolution).
-  double FractionBelow(double value) const;
-  // Index of the most loaded bucket; 0 when empty.
-  std::size_t ModeBucket() const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 // Point on an empirical CDF.
 struct CdfPoint {
@@ -45,9 +16,6 @@ struct CdfPoint {
 // Builds an empirical CDF sampled at `points` evenly spaced fractions.
 // Input need not be sorted.
 std::vector<CdfPoint> EmpiricalCdf(std::vector<double> values, std::size_t points = 100);
-
-// Renders a CDF as "value<TAB>fraction" rows; used by bench binaries.
-std::string FormatCdf(std::span<const CdfPoint> cdf);
 
 }  // namespace femux
 

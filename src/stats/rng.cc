@@ -61,19 +61,4 @@ bool Rng::Bernoulli(double p) {
   return d(engine_);
 }
 
-std::size_t Rng::Categorical(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    total += w;
-  }
-  double pick = Uniform(0.0, total);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    pick -= weights[i];
-    if (pick <= 0.0) {
-      return i;
-    }
-  }
-  return weights.empty() ? 0 : weights.size() - 1;
-}
-
 }  // namespace femux

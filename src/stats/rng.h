@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <random>
-#include <vector>
 
 namespace femux {
 
@@ -32,9 +31,6 @@ class Rng {
   double Pareto(double xm, double alpha);
   std::int64_t Poisson(double mean);
   bool Bernoulli(double p);
-
-  // Samples an index from an unnormalized weight vector.
-  std::size_t Categorical(const std::vector<double>& weights);
 
   std::mt19937_64& engine() { return engine_; }
 

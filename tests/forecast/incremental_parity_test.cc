@@ -2,9 +2,9 @@
 // driving a forecaster through ForecastStream must agree with the
 // pre-existing batch path (a fresh forecaster refit on every windowed
 // prefix) within each forecaster's documented bound — bit-identical for
-// the batch fallbacks (SES and Holt included), <= 1e-9 scale-relative
-// where the protocol inherently reassociates sums (AR Gram updates, Markov
-// level sums, FFT sliding-DFT bin maintenance).
+// the base ForecastNext() default and the stateless sweeps (SES and Holt),
+// <= 1e-9 scale-relative where the protocol inherently reassociates sums
+// (AR Gram updates, Markov level sums, FFT sliding-DFT bin maintenance).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -211,9 +211,9 @@ TEST(IncrementalParityTest, MidSeriesWindowJump) {
   }
 }
 
-TEST(IncrementalParityTest, BatchFallbackIsBitExact) {
-  // A forecaster without the protocol must route through Forecast()
-  // unchanged — bit-identical to the pre-PR loop.
+TEST(IncrementalParityTest, BaseForecastNextDefaultIsBitExact) {
+  // A forecaster that implements only Forecast() is served by the base
+  // ForecastNext(): Forecast(window, 1)[0], bit-identical to the batch loop.
   class PlainMean final : public Forecaster {
    public:
     std::string_view name() const override { return "plain_mean"; }

@@ -1,8 +1,7 @@
 // Registry round-trip (DESIGN.md §15): every name the registry resolves
 // must construct, forecast sanely on a serverless-shaped series, clone,
-// and — when it opts into the incremental protocol — pass a generic
-// incremental-vs-batch parity smoke at the mux gate bound (1e-7
-// scale-relative). Forecasters with opaque learned state additionally
+// and pass a generic stream-vs-batch parity smoke at the mux gate bound
+// (1e-7 scale-relative). Forecasters with opaque learned state additionally
 // round-trip that state into a fresh instance with bit-identical
 // forecasts. This is the contract FeMux relies on when a model file names
 // a forecaster: anything the registry hands back serves correctly.
@@ -86,20 +85,16 @@ TEST(RegistryRoundtripTest, EveryNameConstructsAndForecasts) {
     const std::unique_ptr<Forecaster> clone = forecaster->Clone();
     ASSERT_NE(clone, nullptr);
     EXPECT_EQ(clone->name(), forecaster->name());
-    EXPECT_EQ(clone->SupportsIncremental(), forecaster->SupportsIncremental());
     EXPECT_EQ(clone->HasOpaqueState(), forecaster->HasOpaqueState());
   }
 }
 
-TEST(RegistryRoundtripTest, IncrementalImplementationsPassParitySmoke) {
+TEST(RegistryRoundtripTest, EveryForecasterPassesStreamParitySmoke) {
   const auto series = BurstySeries(160, 23);
   for (const char* name : kAllNames) {
     SCOPED_TRACE(name);
     const std::unique_ptr<Forecaster> prototype = MakeForecasterByName(name);
     ASSERT_NE(prototype, nullptr);
-    if (!prototype->SupportsIncremental()) {
-      continue;
-    }
     const std::unique_ptr<Forecaster> batch_instance = prototype->Clone();
     const std::unique_ptr<Forecaster> incremental_instance = prototype->Clone();
     const auto batch = BatchRolling(*batch_instance, series, 120, 10);

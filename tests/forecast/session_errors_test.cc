@@ -1,8 +1,9 @@
 // ForecastStream under faults: a forecaster that throws from BeginWindow,
 // ObserveAppend or ForecastNext leaves the stream ready to re-seed, so the
 // retry equals, bit for bit, what a fresh stream forecasts at that count.
-// Also pins the count the stream owns: replays, gaps, restores and the
-// batch path's call-per-forecast contract.
+// Also pins the count the stream owns: replays, gaps, restores, and one
+// call into the forecaster per observed sample, for a forecaster that
+// implements only Forecast() too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,7 +54,6 @@ class FlakyForecaster final : public Forecaster {
     return std::make_unique<FlakyForecaster>();
   }
   std::size_t preferred_history() const override { return kWindow; }
-  bool SupportsIncremental() const override { return true; }
   void BeginWindow(std::span<const double> window, std::size_t capacity) override {
     window_.assign(window.begin(), window.end());
     capacity_ = capacity;
@@ -200,20 +200,35 @@ TEST(ForecastStreamFaultTest, GapsAndRestoresReseedFromTheRing) {
             Bits(Fresh(std::span<const double>(series).first(30))));
 }
 
-// Counts calls into the forecaster on either path.
-class CountingForecaster final : public Forecaster {
+// Implements only Forecast(), so the stream serves it through the base
+// ForecastNext(); counts the calls.
+class ForecastOnlyCounter final : public Forecaster {
  public:
-  explicit CountingForecaster(bool incremental) : incremental_(incremental) {}
-  std::string_view name() const override { return "counting"; }
+  std::string_view name() const override { return "forecast_only"; }
   std::vector<double> Forecast(std::span<const double> history,
                                std::size_t horizon) override {
     ++forecasts;
     return std::vector<double>(horizon, history.empty() ? 0.0 : history.back());
   }
   std::unique_ptr<Forecaster> Clone() const override {
-    return std::make_unique<CountingForecaster>(incremental_);
+    return std::make_unique<ForecastOnlyCounter>();
   }
-  bool SupportsIncremental() const override { return incremental_; }
+
+  int forecasts = 0;
+};
+
+// Implements the whole protocol; counts each call.
+class ProtocolCounter final : public Forecaster {
+ public:
+  std::string_view name() const override { return "protocol"; }
+  std::vector<double> Forecast(std::span<const double> history,
+                               std::size_t horizon) override {
+    ++forecasts;
+    return std::vector<double>(horizon, history.empty() ? 0.0 : history.back());
+  }
+  std::unique_ptr<Forecaster> Clone() const override {
+    return std::make_unique<ProtocolCounter>();
+  }
   void BeginWindow(std::span<const double> window, std::size_t) override {
     ++begins;
     last_ = window.back();
@@ -233,48 +248,49 @@ class CountingForecaster final : public Forecaster {
   int nexts = 0;
 
  private:
-  bool incremental_;
   double last_ = 0.0;
 };
 
-// Batch forecasters reach Forecast() on every call, replays included
-// (SETAR paces its refits by counting them); an incremental forecaster
-// advances once per observed sample and replays its cached prediction.
-TEST(ForecastStreamFaultTest, ReplaysReachBatchForecastersButNotIncrementalOnes) {
-  CountingForecaster batch(false);
-  CountingForecaster incremental(true);
-  ForecastStream batch_stream(kWindow);
-  ForecastStream incremental_stream(kWindow);
-  batch_stream.Bind(batch);
-  incremental_stream.Bind(incremental);
+// Every forecaster advances once per observed sample and a replay serves
+// the stream's cached prediction: one that implements only Forecast() is
+// called once per sample, never on a replay.
+TEST(ForecastStreamFaultTest, ReplaysServeTheCacheForEveryForecaster) {
+  ForecastOnlyCounter forecast_only;
+  ProtocolCounter protocol;
+  ForecastStream forecast_only_stream(kWindow);
+  ForecastStream protocol_stream(kWindow);
+  forecast_only_stream.Bind(forecast_only);
+  protocol_stream.Bind(protocol);
   for (int n = 1; n <= 10; ++n) {
-    batch_stream.Append(n);
-    incremental_stream.Append(n);
+    forecast_only_stream.Append(n);
+    protocol_stream.Append(n);
     for (int replay = 0; replay < 3; ++replay) {
-      EXPECT_EQ(batch_stream.Forecast(), static_cast<double>(n));
-      EXPECT_EQ(incremental_stream.Forecast(), static_cast<double>(n));
+      EXPECT_EQ(forecast_only_stream.Forecast(), static_cast<double>(n));
+      EXPECT_EQ(protocol_stream.Forecast(), static_cast<double>(n));
     }
+    EXPECT_EQ(forecast_only.forecasts, n);
   }
-  EXPECT_EQ(batch.forecasts, 30);
-  EXPECT_EQ(incremental.forecasts, 0);
-  EXPECT_EQ(incremental.begins, 1);
-  EXPECT_EQ(incremental.appends, 9);
-  EXPECT_EQ(incremental.nexts, 10);
+  EXPECT_EQ(protocol.forecasts, 0);
+  EXPECT_EQ(protocol.begins, 1);
+  EXPECT_EQ(protocol.appends, 9);
+  EXPECT_EQ(protocol.nexts, 10);
   // Reset keeps the ring and the count; the next call re-seeds.
-  incremental_stream.Reset();
-  EXPECT_EQ(incremental_stream.Forecast(), 10.0);
-  EXPECT_EQ(incremental.begins, 2);
-  EXPECT_EQ(incremental_stream.observed(), 10u);
+  forecast_only_stream.Reset();
+  protocol_stream.Reset();
+  EXPECT_EQ(forecast_only_stream.Forecast(), 10.0);
+  EXPECT_EQ(protocol_stream.Forecast(), 10.0);
+  EXPECT_EQ(forecast_only.forecasts, 11);
+  EXPECT_EQ(protocol.begins, 2);
+  EXPECT_EQ(protocol_stream.observed(), 10u);
 }
 
 // SETAR counts its Forecast() calls to pace refits (stride 5 here): twin
 // streams stay bit-identical however many samples each call covers.
-TEST(ForecastStreamFaultTest, BatchStreamMatchesWindowedForecastAcrossGaps) {
+TEST(ForecastStreamFaultTest, SetarStreamMatchesWindowedForecastAcrossGaps) {
   const auto series = Series(90);
   const auto streamed_f = MakeForecasterByName("setar", 5);
   const auto direct_f = MakeForecasterByName("setar", 5);
   ASSERT_NE(streamed_f, nullptr);
-  ASSERT_FALSE(streamed_f->SupportsIncremental());
   const std::size_t window = std::max(kWindow, streamed_f->preferred_history());
   ForecastStream stream(kWindow);
   stream.Bind(*streamed_f);
@@ -287,6 +303,28 @@ TEST(ForecastStreamFaultTest, BatchStreamMatchesWindowedForecastAcrossGaps) {
     const double expected =
         ForecastOne(*direct_f, prefix.last(std::min(prefix.size(), window)));
     EXPECT_EQ(Bits(stream.Forecast()), Bits(expected)) << "n=" << n;
+  }
+}
+
+// SETAR at refit stride 5 counts samples, not calls: a stream asked twice
+// on every fifth sample (as by a daemon tick that got no new sample)
+// forecasts what a stream asked once forecasts, bit for bit.
+TEST(ForecastStreamFaultTest, SetarReplaysDoNotShiftItsRefits) {
+  const auto series = Series(300);
+  const auto replayed_f = MakeForecasterByName("setar", 5);
+  const auto once_f = MakeForecasterByName("setar", 5);
+  ASSERT_NE(replayed_f, nullptr);
+  ForecastStream replayed(kWindow);
+  ForecastStream once(kWindow);
+  replayed.Bind(*replayed_f);
+  once.Bind(*once_f);
+  for (std::size_t n = 1; n <= series.size(); ++n) {
+    replayed.Append(series[n - 1]);
+    once.Append(series[n - 1]);
+    if (n % 5 == 0) {
+      replayed.Forecast();
+    }
+    EXPECT_EQ(Bits(replayed.Forecast()), Bits(once.Forecast())) << "n=" << n;
   }
 }
 

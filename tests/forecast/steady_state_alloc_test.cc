@@ -59,7 +59,6 @@ std::vector<double> DemandSeries(std::size_t n) {
 std::uint64_t SteadyStateAllocations(std::string_view name, std::size_t stride) {
   const std::unique_ptr<Forecaster> forecaster = MakeForecasterByName(name, stride);
   EXPECT_NE(forecaster, nullptr);
-  EXPECT_TRUE(forecaster->SupportsIncremental());
   const std::size_t warmup =
       std::max(kWindowHint, forecaster->preferred_history()) + kSettleEpochs;
   const std::vector<double> series = DemandSeries(warmup + kCountedEpochs);

@@ -87,9 +87,8 @@ std::vector<double> RingRolling(const Forecaster& prototype,
 }
 
 // The protocol driven by hand: one BeginWindow, then one ObserveAppend and
-// one ForecastNext per sample, all handed windowed prefixes; batch
-// forecasters get Forecast() on the windowed prefix. This is the call
-// sequence both stream paths above must reproduce.
+// one ForecastNext per sample, all handed windowed prefixes. This is the
+// call sequence both stream paths above must reproduce.
 std::vector<double> ProtocolRolling(const Forecaster& prototype,
                                     std::span<const double> series) {
   const std::unique_ptr<Forecaster> forecaster = prototype.Clone();
@@ -100,10 +99,6 @@ std::vector<double> ProtocolRolling(const Forecaster& prototype,
   std::vector<double> out;
   out.reserve(series.size());
   for (std::size_t t = 1; t <= series.size(); ++t) {
-    if (!forecaster->SupportsIncremental()) {
-      out.push_back(ForecastOne(*forecaster, windowed(t)));
-      continue;
-    }
     if (t == 1) {
       forecaster->BeginWindow(windowed(1), window);
     } else {
@@ -134,6 +129,7 @@ TEST(StreamedSessionTest, RingDrivingIsBitIdenticalToFullHistory) {
     std::unique_ptr<Forecaster> prototype;
   } cases[] = {
       {"ar", std::make_unique<ArForecaster>(10, 5)},
+      {"setar", std::make_unique<SetarForecaster>(10, 2, 5)},
       {"exp_smoothing", std::make_unique<ExponentialSmoothingForecaster>()},
       {"holt", std::make_unique<HoltForecaster>()},
       {"fft", std::make_unique<FftForecaster>(10, 5, 256)},
@@ -146,9 +142,10 @@ TEST(StreamedSessionTest, RingDrivingIsBitIdenticalToFullHistory) {
   }
 }
 
-// Forecasters without incremental support fall through to the batch path;
-// the ring window IS the windowed history there, so this too is exact.
-TEST(StreamedSessionTest, BatchFallbackMatchesWindowedForecast) {
+// A forecaster that implements only Forecast() is served by the base
+// ForecastNext(), Forecast() on the ring's window: the windowed history,
+// so this too is exact.
+TEST(StreamedSessionTest, ForecastOnlyDefaultMatchesWindowedForecast) {
   class PlainMean final : public Forecaster {
    public:
     std::string_view name() const override { return "plain_mean"; }
@@ -238,7 +235,6 @@ class RecordingForecaster final : public Forecaster {
     return std::make_unique<RecordingForecaster>(history_);
   }
   std::size_t preferred_history() const override { return history_; }
-  bool SupportsIncremental() const override { return true; }
   void BeginWindow(std::span<const double> window, std::size_t capacity) override {
     EXPECT_EQ(capacity, history_);
     records.push_back({Call::kBegin, {}, Copy(window)});

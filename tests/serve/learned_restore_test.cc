@@ -46,6 +46,10 @@ ScalerDaemonOptions LearnedOptions(const std::string& ckpt) {
   options.shards = 2;
   options.forecaster = "linear_state";
   options.history_window = 120;
+  // No deadline: a wall-clock stall must not degrade one daemon's decision
+  // and not the other's (ScalerDaemonTest.DeadlineMissDegradesDecision
+  // covers the deadline).
+  options.decision_deadline_ms = 1e6;
   options.parallel_shards = false;
   options.checkpoint_path = ckpt;
   return options;

@@ -454,7 +454,7 @@ TEST(ScalerDaemonTest, RestoreFromMissingFileIsColdStart) {
   EXPECT_EQ(daemon.app_count(), 0u);
 }
 
-TEST(ScalerDaemonTest, PeriodicCheckpointsRideTheTimerWheel) {
+TEST(ScalerDaemonTest, PeriodicCheckpointsFallDueEveryNthTick) {
   const std::string path = TempPath("periodic");
   ScalerDaemonOptions options = BaseOptions();
   options.checkpoint_path = path;
@@ -470,6 +470,37 @@ TEST(ScalerDaemonTest, PeriodicCheckpointsRideTheTimerWheel) {
   EXPECT_GT(counters.checkpoint_us, 0.0);
   std::ifstream in(path);
   EXPECT_TRUE(in.good());
+  std::remove(path.c_str());
+}
+
+// The cadence counts this daemon's own ticks, not tick_count(): restored at
+// tick 205, it checkpoints on its 100th tick (tick 305), not at tick 300.
+TEST(ScalerDaemonTest, RestoredDaemonCountsCheckpointTicksFromItsStart) {
+  const std::string path = TempPath("periodic_restored");
+  ScalerDaemonOptions options = BaseOptions();
+  options.checkpoint_path = path;
+  std::uint64_t epoch = 1;
+  {
+    ScalerDaemon first(options);
+    for (; epoch <= 205; ++epoch) {
+      ASSERT_TRUE(first.Push({"app-0", epoch, Sample(0, epoch)}));
+      first.TickOnce();
+    }
+    ASSERT_TRUE(first.Checkpoint());
+  }
+  options.checkpoint_every_ticks = 100;
+  ScalerDaemon restored(options);
+  ASSERT_EQ(restored.RestoreFromCheckpoint(), 1u);
+  ASSERT_EQ(restored.tick_count(), 205u);
+  for (int own_tick = 1; own_tick <= 100; ++own_tick, ++epoch) {
+    ASSERT_TRUE(restored.Push({"app-0", epoch, Sample(0, epoch)}));
+    restored.TickOnce();
+    EXPECT_EQ(restored.counters().checkpoints, own_tick == 100 ? 1u : 0u)
+        << "own tick " << own_tick;
+  }
+  DaemonCheckpoint written;
+  ASSERT_TRUE(LoadDaemonCheckpointFile(path, &written));
+  EXPECT_EQ(written.tick, 305u);
   std::remove(path.c_str());
 }
 

@@ -176,8 +176,8 @@ TEST(ServingIncrementalTest, FemuxPolicyMatchesLegacyAcrossSwitches) {
 TEST(ServingIncrementalTest, FleetMetricsUnchangedByIncrementalPath) {
   // End-to-end: the rounded provisioning decisions (and so the metrics) of
   // a fleet run must not move under the incremental serving path. Compare
-  // against a policy that forces the batch fallback via a non-incremental
-  // wrapper of the same forecaster.
+  // against a wrapper of the same forecaster that implements only
+  // Forecast(), so the base ForecastNext() refits it on every sample.
   class BatchOnlyAr final : public Forecaster {
    public:
     std::string_view name() const override { return "ar_batch_only"; }

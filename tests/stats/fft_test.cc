@@ -25,31 +25,6 @@ std::vector<double> Sinusoid(std::size_t n, double cycles, double amplitude,
   return v;
 }
 
-TEST(FftTest, RoundTripPowerOfTwo) {
-  std::vector<std::complex<double>> x;
-  for (int i = 0; i < 16; ++i) {
-    x.emplace_back(static_cast<double>(i), static_cast<double>(-i));
-  }
-  const auto back = InverseFft(Fft(x));
-  ASSERT_EQ(back.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(back[i].real(), x[i].real(), 1e-9);
-    EXPECT_NEAR(back[i].imag(), x[i].imag(), 1e-9);
-  }
-}
-
-TEST(FftTest, RoundTripArbitraryLength) {
-  std::vector<std::complex<double>> x;
-  for (int i = 0; i < 120; ++i) {  // Non-power-of-two: Bluestein path.
-    x.emplace_back(std::cos(0.3 * i), std::sin(0.1 * i));
-  }
-  const auto back = InverseFft(Fft(x));
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(back[i].real(), x[i].real(), 1e-8);
-    EXPECT_NEAR(back[i].imag(), x[i].imag(), 1e-8);
-  }
-}
-
 TEST(FftTest, DcComponentOfConstantSignal) {
   const std::vector<double> x(64, 5.0);
   const auto spectrum = FftReal(x);

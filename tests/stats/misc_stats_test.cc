@@ -1,4 +1,4 @@
-// Tests for Histogram / EmpiricalCdf, StandardScaler, and the RNG.
+// Tests for EmpiricalCdf, StandardScaler, and the RNG.
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -11,43 +11,6 @@
 
 namespace femux {
 namespace {
-
-TEST(HistogramTest, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);
-  h.Add(9.9);
-  h.Add(25.0);   // Overflow bucket.
-  h.Add(-3.0);   // Clamped into first bucket.
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 1u);
-  EXPECT_EQ(h.count(10), 1u);
-}
-
-TEST(HistogramTest, QuantileTracksMass) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) {
-    h.Add(static_cast<double>(i) + 0.5);
-  }
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.Quantile(0.99), 99.0, 1.5);
-}
-
-TEST(HistogramTest, FractionBelow) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) {
-    h.Add(static_cast<double>(i) + 0.5);
-  }
-  EXPECT_NEAR(h.FractionBelow(5.0), 0.5, 1e-12);
-}
-
-TEST(HistogramTest, ModeBucket) {
-  Histogram h(0.0, 3.0, 3);
-  h.Add(1.5);
-  h.Add(1.6);
-  h.Add(0.2);
-  EXPECT_EQ(h.ModeBucket(), 1u);
-}
 
 TEST(EmpiricalCdfTest, EndpointsAndMonotonicity) {
   std::vector<double> v;
@@ -127,14 +90,6 @@ TEST(RngTest, ParetoIsHeavyTailedAndBounded) {
   Rng rng(1);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_GE(rng.Pareto(1.0, 2.0), 1.0);
-  }
-}
-
-TEST(RngTest, CategoricalRespectsWeights) {
-  Rng rng(2);
-  const std::vector<double> weights = {0.0, 10.0, 0.0};
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(rng.Categorical(weights), 1u);
   }
 }
 
