@@ -8,8 +8,9 @@
 // library's default refit 5, and the refit 20 of every FeMux model in
 // perfbench and the benches), the SES and Holt grids over the 120-sample
 // serving window, BDS windows, the trainer's 10-cluster K-means over the
-// 4 default features, the linear_state and LSTM recurrences, and the OLS
-// normal-equation accumulations of the feature extractor. Each time is the
+// 4 default features, the linear_state and LSTM recurrences, SETAR's AR(10)
+// normal equations, and the OLS normal-equation accumulations of the
+// feature extractor. Each time is the
 // median of kRepeats repeats, with the tables' order rotated from repeat
 // to repeat so drift hits each alike, and their min and max.
 //
@@ -439,6 +440,34 @@ int main(int argc, char** argv) {
           g_sink = g_sink + out[0];
         },
         [&] { return out; }));
+  }
+
+  // --- gram_accumulate: SETAR's refit shape, the AR(10) normal equations
+  // (dimension 11) of a 120-sample window's 110 rows, a quarter of the
+  // samples idle (the skipped zero regressors).
+  {
+    const std::size_t n = 120;
+    const std::size_t p = 10;
+    std::vector<double> y = RandomDoubles(n, 111);
+    for (std::size_t t = 0; t < n; t += 4) {
+      y[t] = 0.0;
+    }
+    std::vector<double> gram((p + 1) * (p + 1));
+    std::vector<double> moments(p + 1);
+    results.push_back(Measure(
+        bodies, "gram_accumulate", "gram_accumulate", "AR(10), 110 rows",
+        calls(20000), true,
+        [&](const simd::KernelTable& t) {
+          std::fill(gram.begin(), gram.end(), 0.0);
+          std::fill(moments.begin(), moments.end(), 0.0);
+          t.gram_accumulate(y.data(), n, p, nullptr, 0, gram.data(), moments.data());
+          g_sink = g_sink + gram[1];
+        },
+        [&] {
+          std::vector<double> out = gram;
+          out.insert(out.end(), moments.begin(), moments.end());
+          return out;
+        }));
   }
 
   // --- axpy: the upper-triangle X'X accumulation of the feature

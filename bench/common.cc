@@ -162,8 +162,8 @@ std::string SimdInfoJson() {
   static constexpr const char* kKernelNames[] = {
       "butterfly_stage", "cmul_inplace", "cmul_to",          "cdiv_mul_to",
       "real_cmul_to",    "slide_update", "ses_sweep",        "holt_sweep",
-      "bds_count_within", "kmeans_distances", "gemv_colmajor", "axpy",
-      "dot_unordered"};
+      "bds_count_within", "kmeans_distances", "gemv_colmajor",
+      "gram_accumulate",  "axpy",         "dot_unordered"};
   std::string out = "{\"detected_isa\": \"" + caps.detected_isa +
                     "\", \"active_isa\": \"" + caps.active_isa +
                     "\", \"lanes\": " + std::to_string(caps.lanes) +

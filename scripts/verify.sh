@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # One-stop verification entry point: tier-1 build + test, the scalar-fallback,
-# AVX2-table and chaos passes, then the kernel parity test and FFT golden
-# from a Release build and Release smoke runs of the gated benches (sketch
-# parity, zero-allocation and flat-memory gates, SIMD kernel parity, daemon
-# resilience, forecaster latency — a non-zero exit means a gate failed).
+# AVX2-table and chaos passes, then the kernel parity test, FFT golden and
+# SETAR oracle from a Release build and Release smoke runs of the gated
+# benches (sketch parity, zero-allocation and flat-memory gates, SIMD kernel
+# parity, daemon resilience, forecaster latency — a non-zero exit means a
+# gate failed).
 # End-to-end throughput is measured separately by perfbench/run.py.
 #
 # Usage: scripts/verify.sh [--skip-bench]
@@ -75,13 +76,14 @@ if [[ "$SKIP_BENCH" == "0" ]]; then
   echo "== bench smoke (Release) =="
   cmake -B "$ROOT/build-release" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release > /dev/null
   mkdir -p "$ROOT/bench/out"
-  # Kernel parity and the FFT golden from the Release (-O3) build too: the
-  # loop vectorizer runs only at -O3, and tier-1 builds with -O2.
-  echo "== Release parity: kernel table and FFT golden, widest and AVX2 tables =="
+  # Kernel parity, the FFT golden and the SETAR oracle from the Release
+  # (-O3) build too: the loop vectorizer runs only at -O3, and tier-1
+  # builds with -O2.
+  echo "== Release parity: kernel table, FFT golden and SETAR oracle, widest and AVX2 tables =="
   cmake --build "$ROOT/build-release" --target stats_simd_kernel_test \
-      forecast_fft_golden_test -j"$(nproc)" > /dev/null
+      forecast_fft_golden_test forecast_setar_oracle_test -j"$(nproc)" > /dev/null
   for simd in "" avx2; do
-    for t in stats_simd_kernel_test forecast_fft_golden_test; do
+    for t in stats_simd_kernel_test forecast_fft_golden_test forecast_setar_oracle_test; do
       FEMUX_SIMD="$simd" "$ROOT/build-release/tests/$t" > /dev/null || {
         echo "Release parity FAILED: $t (table: ${simd:-widest})"; exit 1;
       }

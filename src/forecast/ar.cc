@@ -7,13 +7,14 @@
 
 #include "src/stats/descriptive.h"
 #include "src/stats/linalg.h"
+#include "src/stats/simd.h"
 
 namespace femux {
 namespace {
 
 // Evaluates an AR coefficient vector (intercept, lag1..lagp) on the most
 // recent `p` values of `recent` (ordered oldest-first).
-double PredictAr(const std::vector<double>& coefficients,
+double PredictAr(std::span<const double> coefficients,
                  std::span<const double> recent) {
   double value = coefficients[0];
   const std::size_t p = coefficients.size() - 1;
@@ -23,34 +24,16 @@ double PredictAr(const std::vector<double>& coefficients,
   return value;
 }
 
-// Regressors of the AR(p) design row that targets y[t]: the intercept, then
-// y[t-1] .. y[t-p].
-void FillDesignRow(std::span<const double> y, std::size_t t, std::size_t p,
-                   double* x) {
-  x[0] = 1.0;
-  for (std::size_t k = 1; k <= p; ++k) {
-    x[k] = y[t - k];
-  }
-}
-
-// Adds one design row (regressors `x`, target `y`) to the upper triangle of
-// the normal equations with FitOls's per-element operations: zero
-// regressors are skipped, and FitOls's Axpy over a Gram row tail is
-// bit-identical to this scalar loop. Rows added in the order FitOls visits
-// them therefore give its Gram and moment vector bit for bit.
-void AddDesignRow(const double* x, double y, std::size_t dim, double* gram,
-                  double* moments) {
-  for (std::size_t i = 0; i < dim; ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) {
-      continue;
-    }
-    moments[i] += xi * y;
-    double* row = gram + i * dim;
-    for (std::size_t j = i; j < dim; ++j) {
-      row[j] += xi * x[j];
-    }
-  }
+// Zeroes `gram` and `moments` and accumulates the AR(p) design rows of `y`
+// that the row mask selects (simd::GramAccumulate): the normal equations
+// FitOls builds from that masked design, bit for bit.
+void BuildArGram(std::span<const double> y, std::size_t p,
+                 const std::uint8_t* row_class, unsigned class_mask, double* gram,
+                 double* moments) {
+  const std::size_t dim = p + 1;
+  std::fill(gram, gram + dim * dim, 0.0);
+  std::fill(moments, moments + dim, 0.0);
+  simd::GramAccumulate(y.data(), y.size(), p, row_class, class_mask, gram, moments);
 }
 
 // Mirrors an upper-triangle Gram into `ws` and solves the normal equations
@@ -68,30 +51,55 @@ void SolveNormalEquationsInto(const double* gram, const double* moments,
   CholeskySolveInto(ws, std::span<const double>(moments, dim), x);
 }
 
-std::vector<double> SolveNormalEquations(const double* gram, const double* moments,
-                                         std::size_t dim) {
-  CholeskyWorkspace ws;
-  std::vector<double> x(dim);
-  SolveNormalEquationsInto(gram, moments, dim, ws, x);
-  return x;
+// The most row sets one SETAR refit fits: one per regime of every
+// threshold candidate (2 + 2 + 2 + 3 + 3 + 3).
+constexpr std::size_t kMaxRowSets = 15;
+
+// Buffers the batch fits and SETAR's refit reuse. They live per thread, not
+// per instance, so a daemon's tenants share them; they grow with the
+// largest window a thread has fitted and then stop allocating.
+struct FitScratch {
+  std::vector<double> gram;
+  std::vector<double> moments;
+  std::vector<double> coefficients;
+  std::vector<double> sorted;       // Forecast()'s sorted history.
+  std::vector<double> reversed;     // The window, newest first.
+  std::vector<double> fits;         // kMaxRowSets x (p + 1).
+  std::vector<double> predictions;  // kMaxRowSets x rows.
+  std::vector<std::uint8_t> row_class;
+  CholeskyWorkspace solve;
+};
+
+FitScratch& Scratch() {
+  thread_local FitScratch scratch;
+  return scratch;
 }
 
 // AR(p) coefficients (intercept, lag1..lagp) fitted by OLS over every design
-// row of `y`: FitOls's coefficients on that design, bit for bit, without its
-// residuals and standard errors. Empty when there are p + 2 or fewer rows.
-std::vector<double> FitArCoefficients(std::span<const double> y, std::size_t p) {
+// row of `y` into `out` (p + 1 values): FitOls's coefficients on that
+// design, bit for bit, without its residuals and standard errors. False,
+// with `out` untouched, when there are p + 2 or fewer rows.
+bool FitArInto(std::span<const double> y, std::size_t p, std::span<double> out) {
   if (y.size() <= 2 * p + 2) {
-    return {};
+    return false;
   }
   const std::size_t dim = p + 1;
-  std::vector<double> gram(dim * dim, 0.0);
-  std::vector<double> moments(dim, 0.0);
-  std::vector<double> x(dim);
-  for (std::size_t t = p; t < y.size(); ++t) {
-    FillDesignRow(y, t, p, x.data());
-    AddDesignRow(x.data(), y[t], dim, gram.data(), moments.data());
+  FitScratch& scratch = Scratch();
+  scratch.gram.resize(dim * dim);
+  scratch.moments.resize(dim);
+  BuildArGram(y, p, nullptr, 0, scratch.gram.data(), scratch.moments.data());
+  SolveNormalEquationsInto(scratch.gram.data(), scratch.moments.data(), dim,
+                           scratch.solve, out);
+  return true;
+}
+
+// FitArInto as a vector; empty when there are too few rows.
+std::vector<double> FitArCoefficients(std::span<const double> y, std::size_t p) {
+  std::vector<double> coefficients(p + 1);
+  if (!FitArInto(y, p, coefficients)) {
+    return {};
   }
-  return SolveNormalEquations(gram.data(), moments.data(), dim);
+  return coefficients;
 }
 
 // The cap on AR predictions: three times the history's peak, plus one.
@@ -149,6 +157,21 @@ std::vector<double> ForecastFreshAr(std::span<const double> history,
   return RollForward(history, horizon, p, [&](std::span<const double> recent) {
     return PredictAr(coefficients, recent);
   });
+}
+
+// ForecastFreshAr(window, 1, p)[0] without allocating, given the window's
+// extrema and prediction bound.
+double FreshArNext(std::span<const double> window, std::size_t p, double lo,
+                   double hi, double bound) {
+  if (window.size() <= p + 3 || VarianceIsZero(window, lo, hi)) {
+    return ClampPrediction(Mean(window));
+  }
+  std::vector<double>& coefficients = Scratch().coefficients;
+  coefficients.resize(p + 1);
+  if (!FitArInto(window, p, coefficients)) {
+    return ClampPrediction(Mean(window));
+  }
+  return std::min(bound, ClampPrediction(PredictAr(coefficients, window)));
 }
 
 }  // namespace
@@ -227,11 +250,8 @@ double ArForecaster::ForecastNext(std::span<const double> window) {
   const bool stale =
       inc_coefficients_.empty() || inc_calls_since_fit_ >= refit_interval_;
   if (stale) {
-    // Variance(window) == 0 gate: distinct extrema imply a strictly
-    // positive variance for the magnitudes demand series take, and equal
-    // ones run the batch computation itself.
     const auto [lo, hi] = std::minmax_element(window.begin(), window.end());
-    if (*lo == *hi && Variance(window) == 0.0) {
+    if (VarianceIsZero(window, *lo, *hi)) {
       inc_coefficients_.clear();
       inc_calls_since_fit_ = 0;
       return fallback();
@@ -252,45 +272,36 @@ double ArForecaster::ForecastNext(std::span<const double> window) {
   }
   // One-step RollForward: bound by 3x the window peak and evaluate the AR
   // polynomial on the last p samples.
-  double value = inc_coefficients_[0];
-  for (std::size_t k = 1; k <= lags_; ++k) {
-    value += inc_coefficients_[k] * window[n - k];
-  }
-  return std::min(PredictionBound(window), ClampPrediction(value));
+  return std::min(PredictionBound(window),
+                  ClampPrediction(PredictAr(inc_coefficients_, window)));
 }
 
 void ArForecaster::RebuildGram(std::span<const double> window) {
   const std::size_t p = lags_;
   const std::size_t dim = p + 1;
-  gram_.assign(dim * dim, 0.0);
-  moments_.assign(dim, 0.0);
+  gram_.resize(dim * dim);
+  moments_.resize(dim);
+  BuildArGram(window, p, nullptr, 0, gram_.data(), moments_.data());
   gram_rows_ = window.size() > p ? window.size() - p : 0;
-  for (std::size_t t = p; t < window.size(); ++t) {
-    UpdateGramRow(window, t, 1.0);
-  }
   slides_since_rebuild_ = 0;
 }
 
 void ArForecaster::UpdateGramRow(std::span<const double> window, std::size_t target,
                                  double sign) {
-  const std::size_t p = lags_;
-  const std::size_t dim = p + 1;
+  const std::size_t dim = lags_ + 1;
   const double y = window[target];
   // Row regressors: x0 = 1, xk = window[target - k].
-  double x[64];  // dim <= 64 always (lags are ~10 in practice).
-  const std::size_t d = std::min<std::size_t>(dim, 64);
-  x[0] = 1.0;
-  for (std::size_t k = 1; k < d; ++k) {
-    x[k] = window[target - k];
-  }
-  for (std::size_t i = 0; i < d; ++i) {
-    const double xi = sign * x[i];
+  const auto x = [window, target](std::size_t k) {
+    return k == 0 ? 1.0 : window[target - k];
+  };
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double xi = sign * x(i);
     if (xi == 0.0) {
       continue;
     }
     moments_[i] += xi * y;
-    for (std::size_t j = i; j < d; ++j) {
-      gram_[i * dim + j] += xi * x[j];
+    for (std::size_t j = i; j < dim; ++j) {
+      gram_[i * dim + j] += xi * x(j);
     }
   }
 }
@@ -300,7 +311,19 @@ SetarForecaster::SetarForecaster(std::size_t lags, std::size_t max_thresholds,
                                  std::size_t refit_interval)
     : lags_(std::max<std::size_t>(1, lags)),
       max_thresholds_(std::clamp<std::size_t>(max_thresholds, 1, 2)),
-      refit_interval_(std::max<std::size_t>(1, refit_interval)) {}
+      refit_interval_(std::max<std::size_t>(1, refit_interval)),
+      coefficients_(3 * (lags_ + 1)) {}
+
+double SetarForecaster::PredictRegime(std::span<const double> recent) const {
+  const double pivot = recent.back();
+  std::size_t regime = 0;
+  while (regime + 1 < regimes_ && pivot > thresholds_[regime]) {
+    ++regime;
+  }
+  const std::size_t dim = lags_ + 1;
+  return PredictAr(std::span<const double>(coefficients_).subspan(regime * dim, dim),
+                   recent);
+}
 
 std::vector<double> SetarForecaster::Forecast(std::span<const double> history,
                                               std::size_t horizon) {
@@ -309,23 +332,53 @@ std::vector<double> SetarForecaster::Forecast(std::span<const double> history,
     // Too short to fit per-regime models; fall back to plain AR behavior.
     return ForecastFreshAr(history, horizon, p);
   }
-  if (cached_regimes_.empty() || calls_since_fit_ >= refit_interval_) {
+  if (regimes_ == 0 || calls_since_fit_ >= refit_interval_) {
     calls_since_fit_ = 0;
-    Refit(history);
+    std::vector<double>& sorted = Scratch().sorted;
+    sorted.assign(history.begin(), history.end());
+    std::sort(sorted.begin(), sorted.end());
+    Refit(history, sorted);
   }
   ++calls_since_fit_;
 
-  if (cached_regimes_.empty()) {
+  if (regimes_ == 0) {
     return ForecastFreshAr(history, horizon, p);
   }
   return RollForward(history, horizon, p, [this](std::span<const double> recent) {
-    const double pivot = recent.back();
-    std::size_t regime = 0;
-    while (regime < cached_thresholds_.size() && pivot > cached_thresholds_[regime]) {
-      ++regime;
-    }
-    return PredictAr(cached_regimes_[regime], recent);
+    return PredictRegime(recent);
   });
+}
+
+void SetarForecaster::BeginWindow(std::span<const double> window,
+                                  std::size_t capacity) {
+  sorted_.Assign(window, capacity);
+}
+
+void SetarForecaster::ObserveAppend(std::span<const double> previous,
+                                    std::span<const double> window) {
+  sorted_.Slide(previous, window);
+}
+
+double SetarForecaster::ForecastNext(std::span<const double> window) {
+  // Forecast(window, 1)[0], reading the extrema and the peak of
+  // PredictionBound from the sorted view.
+  const std::size_t p = lags_;
+  const std::span<const double> sorted = sorted_.values();
+  const double lo = sorted.empty() ? 0.0 : sorted.front();
+  const double hi = sorted.empty() ? 0.0 : sorted.back();
+  const double bound = 3.0 * std::max(0.0, hi) + 1.0;
+  if (window.size() <= 4 * p || VarianceIsZero(window, lo, hi)) {
+    return FreshArNext(window, p, lo, hi, bound);
+  }
+  if (regimes_ == 0 || calls_since_fit_ >= refit_interval_) {
+    calls_since_fit_ = 0;
+    Refit(window, sorted);
+  }
+  ++calls_since_fit_;
+  if (regimes_ == 0) {
+    return FreshArNext(window, p, lo, hi, bound);
+  }
+  return std::min(bound, ClampPrediction(PredictRegime(window)));
 }
 
 namespace {
@@ -354,15 +407,14 @@ std::size_t RegimeOfClass(unsigned pivot_class, const SetarCandidate& candidate)
 
 }  // namespace
 
-void SetarForecaster::Refit(std::span<const double> history) {
+void SetarForecaster::Refit(std::span<const double> history,
+                            std::span<const double> sorted) {
   const std::size_t p = lags_;
   const std::size_t dim = p + 1;
-  cached_regimes_.clear();
-  cached_thresholds_.clear();
+  const std::size_t n = history.size();
+  regimes_ = 0;
 
   // Candidate threshold grid from history quantiles.
-  std::vector<double> sorted(history.begin(), history.end());
-  std::sort(sorted.begin(), sorted.end());
   const std::array<double, 3> quartiles = {QuantileSorted(sorted, 0.25),
                                            QuantileSorted(sorted, 0.50),
                                            QuantileSorted(sorted, 0.75)};
@@ -374,10 +426,12 @@ void SetarForecaster::Refit(std::span<const double> history) {
 
   // Regime of row t-p is chosen by the previous observation y[t-1], and
   // only through which quartiles it exceeds: its pivot class.
-  const std::size_t rows = history.size() - p;
-  std::vector<std::uint8_t> row_class(rows);
+  FitScratch& scratch = Scratch();
+  const std::size_t rows = n - p;
+  std::vector<std::uint8_t>& row_class = scratch.row_class;
+  row_class.resize(rows);
   std::array<std::size_t, 8> class_rows{};
-  for (std::size_t t = p; t < history.size(); ++t) {
+  for (std::size_t t = p; t < n; ++t) {
     const double pivot = history[t - 1];
     const unsigned pivot_class = (pivot > quartiles[0] ? 1u : 0u) |
                                  (pivot > quartiles[1] ? 2u : 0u) |
@@ -391,8 +445,11 @@ void SetarForecaster::Refit(std::span<const double> history) {
   // candidate's regime is a set of occupied pivot classes; equal sets have
   // equal rows and so equal fits, and each is fitted once. With ordered
   // quartiles only four classes occur, and the sets are the at most nine
-  // pivot intervals cut by q25, q50 and q75.
-  std::vector<unsigned> row_sets;  // Bit c: pivot class c.
+  // pivot intervals cut by q25, q50 and q75. fit_of_class[k][c] is the row
+  // set that fits pivot class c under candidate k.
+  std::array<unsigned, kMaxRowSets> row_sets{};  // Bit c: pivot class c.
+  std::size_t set_count = 0;
+  std::array<std::array<std::uint8_t, 8>, kSetarCandidates.size()> fit_of_class{};
   std::array<std::array<std::size_t, 3>, kSetarCandidates.size()> regime_fit{};
   std::array<bool, kSetarCandidates.size()> feasible{};
   for (std::size_t k = 0; k < candidate_count; ++k) {
@@ -408,60 +465,76 @@ void SetarForecaster::Refit(std::span<const double> history) {
     }
     feasible[k] = std::all_of(regime_rows.begin(),
                               regime_rows.begin() + candidate.thresholds + 1,
-                              [p](std::size_t n) { return n > p + 2; });
+                              [p](std::size_t count) { return count > p + 2; });
     if (!feasible[k]) {
       continue;
     }
     for (std::size_t g = 0; g <= candidate.thresholds; ++g) {
-      const auto found = std::find(row_sets.begin(), row_sets.end(), regime_set[g]);
+      const auto sets_end = row_sets.begin() + set_count;
+      const auto found = std::find(row_sets.begin(), sets_end, regime_set[g]);
       regime_fit[k][g] = static_cast<std::size_t>(found - row_sets.begin());
-      if (found == row_sets.end()) {
-        row_sets.push_back(regime_set[g]);
+      if (found == sets_end) {
+        row_sets[set_count++] = regime_set[g];
       }
     }
+    for (unsigned c = 0; c < class_rows.size(); ++c) {
+      fit_of_class[k][c] =
+          static_cast<std::uint8_t>(regime_fit[k][RegimeOfClass(c, candidate)]);
+    }
   }
-  if (row_sets.empty()) {
+  if (set_count == 0) {
     return;  // No candidate can fit every regime.
   }
 
-  // One Gram and moment vector per row set, rows added in row order: each
-  // equals what FitOls builds from that regime's masked design.
-  const std::size_t gram_size = dim * dim;
-  std::vector<double> grams(row_sets.size() * gram_size, 0.0);
-  std::vector<double> moments(row_sets.size() * dim, 0.0);
-  std::vector<double> x(dim);
-  for (std::size_t t = p; t < history.size(); ++t) {
-    const unsigned pivot_class = row_class[t - p];
-    FillDesignRow(history, t, p, x.data());
-    for (std::size_t s = 0; s < row_sets.size(); ++s) {
-      if (((row_sets[s] >> pivot_class) & 1u) != 0) {
-        AddDesignRow(x.data(), history[t], dim, &grams[s * gram_size],
-                     &moments[s * dim]);
+  // One Gram per row set, its rows added in row order, so each equals what
+  // FitOls builds from that regime's masked design, and one solve.
+  scratch.gram.resize(dim * dim);
+  scratch.moments.resize(dim);
+  scratch.fits.resize(kMaxRowSets * dim);
+  for (std::size_t s = 0; s < set_count; ++s) {
+    BuildArGram(history, p, row_class.data(), row_sets[s], scratch.gram.data(),
+                scratch.moments.data());
+    SolveNormalEquationsInto(scratch.gram.data(), scratch.moments.data(), dim,
+                             scratch.solve,
+                             std::span<double>(scratch.fits).subspan(s * dim, dim));
+  }
+
+  // Every row set's one-step prediction for every row. In the reversed
+  // window rev[m] = y[n-1-m], the lags y[t-1] .. y[t-p] of row t are
+  // rev[r+1] .. rev[r+p] with r = n-1-t, so GemvColMajor over rev + 1 with
+  // stride 1 runs one row per lane, adding the lags in ascending order
+  // onto the intercept: PredictAr's operations, bit for bit.
+  std::vector<double>& reversed = scratch.reversed;
+  reversed.resize(n);
+  std::reverse_copy(history.begin(), history.end(), reversed.begin());
+  std::vector<double>& predictions = scratch.predictions;
+  predictions.resize(kMaxRowSets * rows);
+  for (std::size_t s = 0; s < set_count; ++s) {
+    double* out = predictions.data() + s * rows;
+    std::fill(out, out + rows, scratch.fits[s * dim]);
+    simd::GemvColMajor(reversed.data() + 1, rows, p, 1,
+                       scratch.fits.data() + s * dim + 1, out);
+  }
+
+  // Rank the surviving candidates by in-sample SSE, each summed in row
+  // order; the first minimum wins.
+  std::array<double, kSetarCandidates.size()> sse{};
+  for (std::size_t t = p; t < n; ++t) {
+    const std::uint8_t pivot_class = row_class[t - p];
+    const std::size_t r = n - 1 - t;
+    for (std::size_t k = 0; k < candidate_count; ++k) {
+      if (feasible[k]) {
+        const double err =
+            history[t] - predictions[fit_of_class[k][pivot_class] * rows + r];
+        sse[k] += err * err;
       }
     }
   }
-  std::vector<std::vector<double>> fits(row_sets.size());
-  for (std::size_t s = 0; s < row_sets.size(); ++s) {
-    fits[s] = SolveNormalEquations(&grams[s * gram_size], &moments[s * dim], dim);
-  }
-
-  // Rank the surviving candidates by in-sample SSE; the first minimum wins.
   double best_sse = std::numeric_limits<double>::infinity();
   std::size_t best = kSetarCandidates.size();
   for (std::size_t k = 0; k < candidate_count; ++k) {
-    if (!feasible[k]) {
-      continue;
-    }
-    double sse = 0.0;
-    for (std::size_t t = p; t < history.size(); ++t) {
-      const std::vector<double>& coefficients =
-          fits[regime_fit[k][RegimeOfClass(row_class[t - p], kSetarCandidates[k])]];
-      const double pred = PredictAr(coefficients, history.subspan(0, t).last(p));
-      const double err = history[t] - pred;
-      sse += err * err;
-    }
-    if (sse < best_sse) {
-      best_sse = sse;
+    if (feasible[k] && sse[k] < best_sse) {
+      best_sse = sse[k];
       best = k;
     }
   }
@@ -471,10 +544,12 @@ void SetarForecaster::Refit(std::span<const double> history) {
   const SetarCandidate& winner = kSetarCandidates[best];
   for (std::size_t g = 0; g <= winner.thresholds; ++g) {
     if (g < winner.thresholds) {
-      cached_thresholds_.push_back(quartiles[winner.quartile[g]]);
+      thresholds_[g] = quartiles[winner.quartile[g]];
     }
-    cached_regimes_.push_back(fits[regime_fit[best][g]]);
+    std::copy_n(scratch.fits.begin() + regime_fit[best][g] * dim, dim,
+                coefficients_.begin() + g * dim);
   }
+  regimes_ = winner.thresholds + 1;
 }
 
 std::unique_ptr<Forecaster> SetarForecaster::Clone() const {

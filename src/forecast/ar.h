@@ -8,21 +8,25 @@
 // over billions of app-minutes tractable (the model changes slowly at
 // minute granularity). refit_interval == 1 refits on every call.
 //
-// Batch fits accumulate the (p+1)^2 normal equations row by row with
-// FitOls's per-element operations and solve them once, so coefficients equal
-// FitOls's on the same design bit for bit. A SETAR refit first counts each
-// regime's rows, drops threshold candidates with a regime too small to fit,
-// and fits each distinct regime row set once, shared by the candidates that
-// need it (DESIGN.md §6). SETAR implements only Forecast(): a stream serves
-// it through the base ForecastNext() once per observed sample, so its
-// refit stride counts samples (DESIGN.md §7).
+// Every full-design fit accumulates the (p+1)^2 normal equations through
+// simd::GramAccumulate, row by row with FitOls's per-element operations,
+// and solves them once, so coefficients equal FitOls's on the same design
+// bit for bit. A SETAR refit first counts each regime's rows, drops
+// threshold candidates with a regime too small to fit, and fits each
+// distinct regime row set once, shared by the candidates that need it
+// (DESIGN.md §6). A stream serves SETAR through its own one-step
+// ForecastNext() once per observed sample, so its refit stride counts
+// samples; it keeps the window's sorted order and no other window state
+// (DESIGN.md §7).
 #ifndef SRC_FORECAST_AR_H_
 #define SRC_FORECAST_AR_H_
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
 #include "src/forecast/forecaster.h"
+#include "src/forecast/sorted_window.h"
 #include "src/stats/linalg.h"
 
 namespace femux {
@@ -85,17 +89,32 @@ class SetarForecaster final : public Forecaster {
                                std::size_t horizon) override;
   std::unique_ptr<Forecaster> Clone() const override;
 
+  // Incremental protocol: the window's sorted order is kept under slides,
+  // so a decision needs no sort for its quartiles and no scan for its
+  // extrema or peak. ForecastNext() is Forecast(window, 1)[0] bit for bit,
+  // refit counter included, and allocates nothing once warm: the refit
+  // works in reused per-thread buffers.
+  void BeginWindow(std::span<const double> window, std::size_t capacity) override;
+  void ObserveAppend(std::span<const double> previous,
+                     std::span<const double> window) override;
+  double ForecastNext(std::span<const double> window) override;
+
  private:
-  // Re-estimates thresholds and per-regime coefficients from `history`;
-  // leaves both empty when no candidate can fit every regime.
-  void Refit(std::span<const double> history);
+  // Re-estimates thresholds and per-regime coefficients from `history`,
+  // whose ascending order is `sorted`; leaves regimes_ at 0 when no
+  // candidate can fit every regime.
+  void Refit(std::span<const double> history, std::span<const double> sorted);
+  // The fitted one-step prediction from the last p samples of `recent`.
+  double PredictRegime(std::span<const double> recent) const;
 
   std::size_t lags_;
   std::size_t max_thresholds_;
   std::size_t refit_interval_;
   std::size_t calls_since_fit_ = 0;
-  std::vector<double> cached_thresholds_;
-  std::vector<std::vector<double>> cached_regimes_;  // Coefficients per regime.
+  std::size_t regimes_ = 0;  // 0 when no fit is cached.
+  std::array<double, 2> thresholds_{};
+  std::vector<double> coefficients_;  // Per regime: intercept, lag1..lagp.
+  SortedWindow sorted_;               // The stream's window, ascending.
 };
 
 }  // namespace femux

@@ -84,6 +84,13 @@ struct LstmForecaster::Impl {
     std::vector<double> i, f, g, o, c, h, c_prev, h_prev;
   };
 
+  // Serving buffers, kept so that a decision allocates nothing: the padded
+  // normalized input window, the h/c state and one step's activations.
+  mutable std::vector<double> serve_input;
+  mutable std::vector<double> serve_h;
+  mutable std::vector<double> serve_c;
+  mutable Step serve_step;
+
   explicit Impl(LstmOptions opts) : options(opts), hidden(opts.hidden) {
     Rng rng(opts.seed);
     const double s = 1.0 / std::sqrt(static_cast<double>(hidden));
@@ -98,12 +105,20 @@ struct LstmForecaster::Impl {
     by.Init(1, 0.0, rng);
   }
 
+  // One training step: records the step's input and previous state for
+  // BPTT, then computes its activations.
   void ForwardStep(double x, const std::vector<double>& h_prev,
                    const std::vector<double>& c_prev, Step& step) const {
-    const std::size_t H = hidden;
     step.x = x;
     step.h_prev = h_prev;
     step.c_prev = c_prev;
+    ComputeStep(x, h_prev.data(), c_prev.data(), step);
+  }
+
+  // The gate activations and the new c/h of one step into `step`.
+  void ComputeStep(double x, const double* h_prev, const double* c_prev,
+                   Step& step) const {
+    const std::size_t H = hidden;
     step.i.resize(H);
     step.f.resize(H);
     step.g.resize(H);
@@ -121,7 +136,7 @@ struct LstmForecaster::Impl {
     for (std::size_t r = 0; r < rows; ++r) {
       z_scratch[r] = wx.value[r] * x + b.value[r];
     }
-    simd::GemvColMajor(wh_colmajor.data(), rows, H, rows, h_prev.data(),
+    simd::GemvColMajor(wh_colmajor.data(), rows, H, rows, h_prev,
                        z_scratch.data());
     for (std::size_t j = 0; j < H; ++j) {
       step.i[j] = Sigmoid(z_scratch[0 * H + j]);
@@ -133,17 +148,34 @@ struct LstmForecaster::Impl {
     }
   }
 
-  // Runs a window forward; returns prediction (normalized space).
-  double ForwardWindow(std::span<const double> window, std::vector<Step>* steps) const {
+  // Runs a window forward, appending each step to `steps`; returns the
+  // prediction (normalized space).
+  double ForwardWindow(std::span<const double> window, std::vector<Step>& steps) const {
     std::vector<double> h(hidden, 0.0);
     std::vector<double> c(hidden, 0.0);
-    Step scratch;
     for (double x : window) {
-      Step& step = steps != nullptr ? steps->emplace_back() : scratch;
+      Step& step = steps.emplace_back();
       ForwardStep(x, h, c, step);
       h = step.h;
       c = step.c;
     }
+    return Readout(h);
+  }
+
+  // ForwardWindow's prediction without the BPTT record, in the serving
+  // buffers: each step's new h/c swap places with the previous ones.
+  double ForwardServe(std::span<const double> window) const {
+    serve_h.assign(hidden, 0.0);
+    serve_c.assign(hidden, 0.0);
+    for (double x : window) {
+      ComputeStep(x, serve_h.data(), serve_c.data(), serve_step);
+      std::swap(serve_h, serve_step.h);
+      std::swap(serve_c, serve_step.c);
+    }
+    return Readout(serve_h);
+  }
+
+  double Readout(const std::vector<double>& h) const {
     double y = by.value[0];
     for (std::size_t j = 0; j < hidden; ++j) {
       y += wy.value[j] * h[j];
@@ -228,16 +260,12 @@ struct LstmForecaster::Impl {
   // samples, run forward, denormalize and clamp.
   double ForecastOneFromWindow(std::span<const double> window) const {
     const std::size_t w = options.window;
-    std::vector<double> norm;
-    norm.reserve(w);
     const std::size_t take = std::min(window.size(), w);
+    serve_input.assign(w - take, 0.0);
     for (std::size_t i = window.size() - take; i < window.size(); ++i) {
-      norm.push_back(window[i] / scale);
+      serve_input.push_back(window[i] / scale);
     }
-    while (norm.size() < w) {
-      norm.insert(norm.begin(), 0.0);
-    }
-    const double pred = ForwardWindow(norm, nullptr);
+    const double pred = ForwardServe(serve_input);
     return ClampPrediction(pred * scale);
   }
 };
@@ -282,7 +310,7 @@ double LstmForecaster::TrainOnSeries(std::span<const double> series) {
     for (std::size_t start = 0; start + w < norm.size(); start += stride) {
       steps.clear();
       const std::span<const double> window(norm.data() + start, w);
-      const double pred = net.ForwardWindow(window, &steps);
+      const double pred = net.ForwardWindow(window, steps);
       sse += net.BackwardWindow(steps, pred, norm[start + w]);
       net.AdamAll(net.options.learning_rate);
       ++count;
@@ -312,7 +340,7 @@ std::vector<double> LstmForecaster::Forecast(std::span<const double> history,
   std::vector<double> out;
   out.reserve(horizon);
   for (std::size_t h = 0; h < horizon; ++h) {
-    const double pred = net.ForwardWindow(norm, nullptr);
+    const double pred = net.ForwardServe(norm);
     const double denorm = ClampPrediction(pred * net.scale);
     out.push_back(denorm);
     norm.erase(norm.begin());

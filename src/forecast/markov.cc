@@ -112,7 +112,7 @@ void MarkovChainForecaster::ComputeBounds(std::vector<double>* out) const {
   out->reserve(states_ - 1);
   for (std::size_t s = 1; s < states_; ++s) {
     const double q = static_cast<double>(s) / static_cast<double>(states_);
-    out->push_back(QuantileSorted(sorted_, q));
+    out->push_back(QuantileSorted(sorted_.values(), q));
   }
 }
 
@@ -136,9 +136,7 @@ void MarkovChainForecaster::RecountFromWindow(std::span<const double> window) {
 
 void MarkovChainForecaster::BeginWindow(std::span<const double> window,
                                         std::size_t capacity) {
-  (void)capacity;  // A slide shows as previous.size() == window.size().
-  sorted_.assign(window.begin(), window.end());
-  std::sort(sorted_.begin(), sorted_.end());
+  sorted_.Assign(window, capacity);
   counts_valid_ = false;
 }
 
@@ -147,12 +145,7 @@ void MarkovChainForecaster::ObserveAppend(std::span<const double> previous,
   const double value = window.back();
   const bool did_evict = window.size() == previous.size();
 
-  // Keep the sorted view current (O(window) memmove, no per-call sort).
-  if (did_evict) {
-    const auto it = std::lower_bound(sorted_.begin(), sorted_.end(), previous.front());
-    sorted_.erase(it);
-  }
-  sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), value), value);
+  sorted_.Slide(previous, window);
 
   if (!counts_valid_) {
     return;  // ForecastNext recounts lazily.
@@ -198,9 +191,8 @@ double MarkovChainForecaster::ForecastNext(std::span<const double> window) {
   if (n < states_ + 2) {
     return fallback();
   }
-  // Variance(window) == 0 gate: distinct extrema imply positive variance;
-  // constant windows run the batch computation itself.
-  if (sorted_.front() == sorted_.back() && Variance(window) == 0.0) {
+  // The batch path's Variance(window) == 0 gate.
+  if (VarianceIsZero(window, sorted_.values().front(), sorted_.values().back())) {
     return fallback();
   }
   if (!counts_valid_) {

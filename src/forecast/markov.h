@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/forecast/forecaster.h"
+#include "src/forecast/sorted_window.h"
 
 namespace femux {
 
@@ -46,7 +47,7 @@ class MarkovChainForecaster final : public Forecaster {
   std::size_t states_;
 
   // Incremental sliding-window state (DESIGN.md §7).
-  std::vector<double> sorted_;       // Window values, ascending.
+  SortedWindow sorted_;              // Window values, ascending.
   std::vector<double> bounds_;       // Quantile bucket upper bounds.
   std::vector<double> bounds_scratch_;
   std::vector<double> counts_;       // states x states raw pair counts.

@@ -29,6 +29,10 @@ double Variance(std::span<const double> values) {
   return acc / static_cast<double>(values.size() - 1);
 }
 
+bool VarianceIsZero(std::span<const double> values, double lo, double hi) {
+  return !(hi - lo > 1e-100) && Variance(values) == 0.0;
+}
+
 double StdDev(std::span<const double> values) { return std::sqrt(Variance(values)); }
 
 double CoefficientOfVariation(std::span<const double> values) {

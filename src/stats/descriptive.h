@@ -13,6 +13,12 @@ namespace femux {
 double Mean(std::span<const double> values);
 // Sample variance (n-1 denominator). Returns 0 for fewer than two values.
 double Variance(std::span<const double> values);
+// Variance(values) == 0.0, given the extrema lo and hi of `values`. Skips
+// the sum when hi - lo > 1e-100: some deviation from the mean is then at
+// least 5e-101, whose square is a normal double, so the variance is
+// nonzero. Closer extrema can still hide a variance that underflows to 0
+// (say, 1e-200 next to 2e-200), so the sum decides those.
+bool VarianceIsZero(std::span<const double> values, double lo, double hi);
 double StdDev(std::span<const double> values);
 // Coefficient of variation sigma/mu. Returns 0 when the mean is zero.
 double CoefficientOfVariation(std::span<const double> values);

@@ -87,24 +87,27 @@ void CholeskySolveInto(CholeskyWorkspace& ws, std::span<const double> b,
 
   // Attempt the decomposition, escalating the ridge until every pivot is
   // positive. Regression callers pass well-scaled designs, so this loop
-  // almost always succeeds on the first try.
+  // almost always succeeds on the first try. Column by column: the entries
+  // below a pivot need only earlier columns, so they do not wait on each
+  // other, and each is the row-by-row form's expression in its order.
   for (int attempt = 0; attempt < 8; ++attempt) {
     bool ok = true;
-    for (std::size_t i = 0; i < n && ok; ++i) {
-      for (std::size_t j = 0; j <= i; ++j) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double pivot = a(j, j);
+      for (std::size_t k = 0; k < j; ++k) {
+        pivot -= l(j, k) * l(j, k);
+      }
+      if (pivot <= 0.0) {
+        ok = false;
+        break;
+      }
+      l(j, j) = std::sqrt(pivot);
+      for (std::size_t i = j + 1; i < n; ++i) {
         double sum = a(i, j);
         for (std::size_t k = 0; k < j; ++k) {
           sum -= l(i, k) * l(j, k);
         }
-        if (i == j) {
-          if (sum <= 0.0) {
-            ok = false;
-            break;
-          }
-          l(i, i) = std::sqrt(sum);
-        } else {
-          l(i, j) = sum / l(j, j);
-        }
+        l(i, j) = sum / l(j, j);
       }
     }
     if (!ok) {

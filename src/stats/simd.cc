@@ -182,6 +182,28 @@ void ScalarGemvColMajor(const double* m, std::size_t rows, std::size_t cols,
   }
 }
 
+void ScalarGramAccumulate(const double* y, std::size_t n, std::size_t p,
+                          const std::uint8_t* row_class, unsigned class_mask,
+                          double* gram, double* moments) {
+  const std::size_t dim = p + 1;
+  for (std::size_t t = p; t < n; ++t) {
+    if (row_class != nullptr && ((class_mask >> row_class[t - p]) & 1u) == 0) {
+      continue;
+    }
+    for (std::size_t i = 0; i < dim; ++i) {
+      const double xi = i == 0 ? 1.0 : y[t - i];
+      if (xi == 0.0) {
+        continue;
+      }
+      moments[i] += xi * y[t];
+      double* row = gram + i * dim;
+      for (std::size_t j = i; j < dim; ++j) {
+        row[j] += xi * (j == 0 ? 1.0 : y[t - j]);
+      }
+    }
+  }
+}
+
 void ScalarAxpy(double* y, double a, const double* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     y[i] += a * x[i];
@@ -211,6 +233,7 @@ KernelTable MakeScalarTable() {
   t.bds_count_within = &ScalarBdsCountWithin;
   t.kmeans_distances = &ScalarKmeansDistances;
   t.gemv_colmajor = &ScalarGemvColMajor;
+  t.gram_accumulate = &ScalarGramAccumulate;
   t.axpy = &ScalarAxpy;
   t.dot_unordered = &ScalarDotUnordered;
   return t;

@@ -2,15 +2,15 @@
 //
 // The inner math of the training and serving hot paths — FFT butterflies,
 // Bluestein chirp multiplies, sliding-DFT bin updates, SES/Holt grid
-// sweeps, BDS neighbor counting, K-means distance loops, and the dot/axpy
-// primitives — funnels through the free functions below. Each function is
-// dispatched at runtime to the widest table the CPU supports: AVX-512
-// (8 lanes) → AVX2 (4 lanes) → scalar on x86-64, scalar elsewhere, with
-// the scalar implementation always available as the reference. That
-// AVX-512-first order was measured only on a Sapphire Rapids Xeon; on
-// CPUs where 512-bit instructions lower the clock (Skylake-SP, Cascade
-// Lake) or run as two 256-bit halves (Zen 4), FEMUX_SIMD=avx2 keeps the
-// 4-lane table, with the same bits.
+// sweeps, BDS neighbor counting, K-means distance loops, AR normal
+// equations, and the dot/axpy primitives — funnels through the free
+// functions below. Each function is dispatched at runtime to the widest
+// table the CPU supports: AVX-512 (8 lanes) → AVX2 (4 lanes) → scalar on
+// x86-64, scalar elsewhere, with the scalar implementation always
+// available as the reference. That AVX-512-first order was measured only
+// on a Sapphire Rapids Xeon; on CPUs where 512-bit instructions lower the
+// clock (Skylake-SP, Cascade Lake) or run as two 256-bit halves (Zen 4),
+// FEMUX_SIMD=avx2 keeps the 4-lane table, with the same bits.
 //
 // Parity contract: every vectorized implementation is *bit-identical* to
 // the scalar one, input for input. This is achievable because each kernel
@@ -120,6 +120,19 @@ struct KernelTable {
   void (*gemv_colmajor)(const double* m, std::size_t rows, std::size_t cols,
                         std::size_t stride, const double* v,
                         double* out) = nullptr;
+  // Accumulates the AR(p) normal equations of the design rows of `y` (n
+  // samples, oldest first) that a row mask selects. For t in [p, n) in
+  // ascending order, row t is used when row_class is null or bit
+  // row_class[t - p] (a class below 32) of class_mask is set; its
+  // regressors are x = (1, y[t-1], ..., y[t-p]) and its target y[t]. For
+  // each used row and each i in [0, p] with x[i] != 0 (a NaN counts as
+  // nonzero):
+  //   moments[i] += x[i] * y[t];  gram[i*(p+1) + j] += x[i] * x[j], j >= i.
+  // Entries below the diagonal are not touched. The vector tables keep the
+  // accumulators in registers across rows (DESIGN.md §12).
+  void (*gram_accumulate)(const double* y, std::size_t n, std::size_t p,
+                          const std::uint8_t* row_class, unsigned class_mask,
+                          double* gram, double* moments) = nullptr;
   // y[i] += a * x[i]
   void (*axpy)(double* y, double a, const double* x, std::size_t n) = nullptr;
   // Multi-accumulator dot product. NOT bit-exact against a left-to-right
@@ -187,6 +200,11 @@ inline void KmeansDistances(const double* point, std::size_t dims,
 inline void GemvColMajor(const double* m, std::size_t rows, std::size_t cols,
                          std::size_t stride, const double* v, double* out) {
   ActiveTable().gemv_colmajor(m, rows, cols, stride, v, out);
+}
+inline void GramAccumulate(const double* y, std::size_t n, std::size_t p,
+                           const std::uint8_t* row_class, unsigned class_mask,
+                           double* gram, double* moments) {
+  ActiveTable().gram_accumulate(y, n, p, row_class, class_mask, gram, moments);
 }
 inline void Axpy(double* y, double a, const double* x, std::size_t n) {
   ActiveTable().axpy(y, a, x, n);

@@ -52,6 +52,7 @@ const KernelTable* Avx2Table() {
     t.bds_count_within = &avx2_impl::BdsCountWithin;
     t.kmeans_distances = &avx2_impl::KmeansDistances;
     t.gemv_colmajor = &avx2_impl::GemvColMajor;
+    t.gram_accumulate = &avx2_impl::GramAccumulate;
     t.axpy = &avx2_impl::Axpy;
     t.dot_unordered = &avx2_impl::DotUnordered;
     return t;

@@ -52,6 +52,7 @@ const KernelTable* Avx512Table() {
     t.bds_count_within = &avx512_impl::BdsCountWithin;
     t.kmeans_distances = &avx512_impl::KmeansDistances;
     t.gemv_colmajor = &avx512_impl::GemvColMajor;
+    t.gram_accumulate = &avx512_impl::GramAccumulate;
     t.axpy = &avx512_impl::Axpy;
     t.dot_unordered = &avx512_impl::DotUnordered;
     return t;

@@ -14,7 +14,8 @@
 // composite: even lanes a - b, odd lanes a + b, one vaddsubpd on AVX2 and,
 // since AVX-512 has no 512-bit addsub, an add with the even lanes
 // overwritten by a masked subtract at 8 lanes; either way each lane does
-// one IEEE operation.
+// one IEEE operation. AddIfNonZero is the other: one add whose result a
+// compare against zero keeps or drops per lane.
 #ifndef SRC_STATS_SIMD_VEC_H_
 #define SRC_STATS_SIMD_VEC_H_
 
@@ -79,6 +80,13 @@ struct VecD {
 
   VecD Abs() const {
     return {_mm256_andnot_pd(_mm256_set1_pd(-0.0), v)};
+  }
+  // acc + addend in the lanes where cond != 0 (a NaN counts as nonzero),
+  // acc elsewhere.
+  static VecD AddIfNonZero(VecD acc, VecD addend, VecD cond) {
+    const __m256d nonzero =
+        _mm256_cmp_pd(cond.v, _mm256_setzero_pd(), _CMP_NEQ_UQ);
+    return {_mm256_blendv_pd(acc.v, _mm256_add_pd(acc.v, addend.v), nonzero)};
   }
   // Lane bitmask of this <= b (1 bit per lane, bit i = lane i).
   int LeMask(VecD b) const {
@@ -145,6 +153,23 @@ struct VecD {
   }
 
   VecD Abs() const { return {_mm512_abs_pd(v)}; }
+  static VecD AddIfNonZero(VecD acc, VecD addend, VecD cond) {
+    const __mmask8 nonzero =
+        _mm512_cmp_pd_mask(cond.v, _mm512_setzero_pd(), _CMP_NEQ_UQ);
+    return {_mm512_mask_add_pd(acc.v, nonzero, acc.v, addend.v)};
+  }
+  // The 8-lane table alone splits vectors into 256-bit halves, to pair two
+  // 4-point butterfly blocks per vector. (a.lo, b.lo) and (a.hi, b.hi):
+  static VecD LowHalves(VecD a, VecD b) {
+    return {_mm512_maskz_shuffle_f64x2(kAll, a.v, b.v, 0x44)};
+  }
+  static VecD HighHalves(VecD a, VecD b) {
+    return {_mm512_maskz_shuffle_f64x2(kAll, a.v, b.v, 0xEE)};
+  }
+  // (p[0..4), p[0..4)).
+  static VecD BroadcastHalf(const double* p) {
+    return {_mm512_maskz_broadcast_f64x4(kAll, _mm256_loadu_pd(p))};
+  }
   // Lane bitmask of this <= b (bit i = lane i).
   int LeMask(VecD b) const {
     return _mm512_cmp_pd_mask(v, b.v, _CMP_LE_OQ);

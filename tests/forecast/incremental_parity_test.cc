@@ -182,6 +182,41 @@ TEST(IncrementalParityTest, FftGrowthPhaseBitExact) {
   }
 }
 
+// SETAR's ForecastNext is Forecast(window, 1)[0] on the stream's sorted
+// view, refit counter included: exact equality.
+TEST(IncrementalParityTest, Setar) { CheckParity(SetarForecaster(10, 2, 5), 0.0); }
+
+TEST(IncrementalParityTest, SetarRefitEveryCall) {
+  CheckParity(SetarForecaster(10, 2, 1), 0.0);
+}
+
+// Alternating 2e-200 and 1e-200: the extrema differ, but every squared
+// deviation from the mean underflows, so Variance is 0 and the batch path
+// falls back (to the mean for AR and SETAR, to the last sample for Markov).
+// The stream must take the same gate, so both agree exactly.
+TEST(IncrementalParityTest, TinyDistinctValuesTakeTheBatchVarianceGate) {
+  std::vector<double> series(300);
+  for (std::size_t t = 0; t < series.size(); ++t) {
+    series[t] = t % 2 == 0 ? 2e-200 : 1e-200;
+  }
+  const ArForecaster ar(10, 5);
+  const ArForecaster ar_every_call(10, 1);
+  const MarkovChainForecaster markov(4);
+  const SetarForecaster setar(10, 2, 5);
+  for (const Forecaster* prototype : {static_cast<const Forecaster*>(&ar),
+                                      static_cast<const Forecaster*>(&ar_every_call),
+                                      static_cast<const Forecaster*>(&markov),
+                                      static_cast<const Forecaster*>(&setar)}) {
+    SCOPED_TRACE(prototype->name());
+    const auto batch = BatchRolling(*prototype, series, 120, 10);
+    const auto incremental = IncrementalRolling(*prototype, series, 120, 10);
+    ASSERT_EQ(batch.size(), incremental.size());
+    for (std::size_t t = 0; t < batch.size(); ++t) {
+      EXPECT_EQ(batch[t], incremental[t]) << "t=" << t;
+    }
+  }
+}
+
 TEST(IncrementalParityTest, MidSeriesWindowJump) {
   // A stream whose synced history jumps (here: restarting the series
   // mid-way) must re-seed and still match the batch path on the new stream.

@@ -9,7 +9,8 @@
 // the fallback. That implementation is kept here verbatim as the oracle, and
 // every forecast is compared bit for bit (std::bit_cast), through
 // RollingForecast and through multi-step Forecast(window, 3) calls, for refit
-// intervals {1, 5, 20} x max_thresholds {1, 2}.
+// intervals {1, 5, 20} x max_thresholds {1, 2}, at 10 lags and at 1, 3 and
+// 17, and with batch calls between a stream's decisions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -398,23 +399,23 @@ constexpr std::size_t kMaxThresholds[] = {1, 2};
 // Runs every configuration over `series` and returns the oracle's refit
 // counts summed over them.
 RefitCounts CheckSeries(const std::vector<double>& series, const std::string& label,
-                        std::size_t stride) {
+                        std::size_t stride, std::size_t lags = 10) {
   RefitCounts counts;
   for (const std::size_t refit : kRefitIntervals) {
     for (const std::size_t thresholds : kMaxThresholds) {
       const std::string what = label + " refit=" + std::to_string(refit) +
                                " thresholds=" + std::to_string(thresholds);
-      OracleSetar oracle(10, thresholds, refit, &counts);
-      SetarForecaster setar(10, thresholds, refit);
+      OracleSetar oracle(lags, thresholds, refit, &counts);
+      SetarForecaster setar(lags, thresholds, refit);
       ExpectBitIdentical(RollingForecast(oracle, series), RollingForecast(setar, series),
                          what + " rolling");
-      OracleSetar oracle_multi(10, thresholds, refit, nullptr);
-      SetarForecaster setar_multi(10, thresholds, refit);
+      OracleSetar oracle_multi(lags, thresholds, refit, nullptr);
+      SetarForecaster setar_multi(lags, thresholds, refit);
       ExpectBitIdentical(MultiStep(oracle_multi, series, stride),
                          MultiStep(setar_multi, series, stride), what + " horizon 3");
     }
-    OracleAr oracle_ar(10, refit);
-    ArForecaster ar(10, refit);
+    OracleAr oracle_ar(lags, refit);
+    ArForecaster ar(lags, refit);
     ExpectBitIdentical(BatchRolling(oracle_ar, series), BatchRolling(ar, series),
                        label + " ar refit=" + std::to_string(refit));
   }
@@ -464,6 +465,49 @@ TEST(SetarOracleTest, ShortPrefixesMatch) {
       SetarForecaster setar(10, thresholds, 1);
       ExpectBitIdentical(oracle.Forecast(prefix, 3), setar.Forecast(prefix, 3),
                          "prefix " + std::to_string(n));
+    }
+  }
+}
+
+TEST(SetarOracleTest, OtherLagCountsMatchBitForBit) {
+  // Gram widths p + 1 = 2, 4 and 18 fall on both sides of the 4- and 8-lane
+  // vector boundaries of the Gram kernel.
+  for (const std::size_t lags : {1u, 3u, 17u}) {
+    const std::string label = "lags=" + std::to_string(lags);
+    const RefitCounts counts =
+        CheckSeries(RegimeSwitchingSeries(600, 19), label + " regime switching", 7, lags);
+    EXPECT_GT(counts.feasible, 0u) << label;
+    CheckSeries(ZeroInflatedSeries(400, 37), label + " zero inflated", 7, lags);
+  }
+}
+
+TEST(SetarOracleTest, BatchCallsBetweenStreamDecisionsMatch) {
+  // One instance serves a stream and, between its decisions, batch
+  // Forecast(window, 3) calls on other windows. Both kinds of call share the
+  // refit counter, as on the oracle, and a decision after a batch call must
+  // still read the stream's own sorted window.
+  const std::vector<double> series = RegimeSwitchingSeries(700, 41);
+  const std::span<const double> all(series);
+  for (const std::size_t refit : {1u, 5u}) {
+    for (const std::size_t thresholds : kMaxThresholds) {
+      const std::string what = "refit=" + std::to_string(refit) +
+                               " thresholds=" + std::to_string(thresholds);
+      OracleSetar oracle(10, thresholds, refit, nullptr);
+      SetarForecaster setar(10, thresholds, refit);
+      ForecastStream stream(kDefaultHistoryMinutes);
+      stream.Bind(setar);
+      for (std::size_t t = 0; t < series.size(); ++t) {
+        stream.Append(series[t]);
+        const std::vector<double> expected = oracle.Forecast(stream.Window(), 1);
+        ExpectBitIdentical(expected, {stream.Forecast()},
+                           what + " stream t=" + std::to_string(t));
+        if (t % 7 == 3) {
+          const auto prefix = all.first(t / 2 + 1);
+          const auto other = prefix.last(std::min<std::size_t>(prefix.size(), 90));
+          ExpectBitIdentical(oracle.Forecast(other, 3), setar.Forecast(other, 3),
+                             what + " batch t=" + std::to_string(t));
+        }
+      }
     }
   }
 }

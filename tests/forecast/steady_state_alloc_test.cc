@@ -81,13 +81,39 @@ std::uint64_t SteadyStateAllocations(std::string_view name, std::size_t stride) 
 
 TEST(SteadyStateAllocationTest, IncrementalEpochsAllocateNothing) {
   for (const std::string_view name :
-       {"ar", "fft", "markov_chain", "linear_state", "moving_average_1",
-        "keep_alive_5min", "holt", "exp_smoothing"}) {
+       {"ar", "setar", "fft", "markov_chain", "linear_state", "lstm",
+        "moving_average_1", "keep_alive_5min", "holt", "exp_smoothing"}) {
     for (const std::size_t stride : {1u, 5u, 20u}) {
       EXPECT_EQ(SteadyStateAllocations(name, stride), 0u)
           << name << " at refit stride " << stride;
     }
   }
+}
+
+// Bytes one warm setar stream may hold: its ring (2 x 120 doubles), its
+// sorted view of the window and its regime coefficients. The refit works in
+// per-thread buffers, which every stream on the thread shares.
+constexpr std::int64_t kMaxSetarStreamBytes = 8 * 1024;
+
+TEST(SteadyStateAllocationTest, WarmSetarStreamHoldsItsWindowAndFit) {
+  const std::vector<double> series = DemandSeries(kWindowHint + 600);
+  std::unique_ptr<Forecaster> forecaster = MakeForecasterByName("setar", 1);
+  auto stream = std::make_unique<ForecastStream>(kWindowHint);
+  stream->Bind(*forecaster);
+  double sink = 0.0;
+  for (const double value : series) {
+    stream->Append(value);
+    sink += stream->Forecast();
+  }
+  EXPECT_TRUE(std::isfinite(sink));
+  // As FftTenant::Release: the bytes that destroying the two frees.
+  const std::int64_t before = AllocHookLiveBytes();
+  stream.reset();
+  forecaster.reset();
+  const std::int64_t held = before - AllocHookLiveBytes();
+  EXPECT_LE(held, kMaxSetarStreamBytes);
+  RecordProperty("setar_stream_bytes", std::to_string(held));
+  std::printf("a warm setar stream holds %lld bytes\n", static_cast<long long>(held));
 }
 
 constexpr std::size_t kFftWindow = 2880;

@@ -395,6 +395,85 @@ TEST(SimdKernelTest, GemvColMajorMatchesScalarBitwise) {
   }
 }
 
+// Bit equality, except that any NaN matches any NaN: a sum of two NaNs
+// keeps one operand's payload and sign, and which one IEEE leaves to the
+// operand order the compiler picks.
+void ExpectBitEqualOrBothNan(const double* a, const double* b, std::size_t n,
+                             const char* isa, std::size_t case_id) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) {
+      continue;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << "isa=" << isa << " case=" << case_id << " index=" << i
+        << " scalar=" << a[i] << " simd=" << b[i];
+  }
+}
+
+// A demand-like sample for the Gram kernel: a quarter zeros (the skipped
+// regressors) and, with `specials`, infinities and NaNs next to the
+// signed zeros and denormals of Rng::Value.
+double GramSample(Rng* rng, bool specials) {
+  const std::uint64_t pick = rng->Next() % 32;
+  if (pick < 8) {
+    return 0.0;
+  }
+  if (specials && pick == 8) {
+    return rng->Next() % 2 == 0 ? INFINITY : -INFINITY;
+  }
+  if (specials && pick == 9) {
+    return NAN;
+  }
+  return rng->Value();
+}
+
+TEST(SimdKernelTest, GramAccumulateMatchesScalarBitwise) {
+  const simd::KernelTable& scalar = simd::ScalarTable();
+  const std::size_t lanes = static_cast<std::size_t>(MaxLanes());
+  for (const simd::KernelTable* table : VectorTables()) {
+    Rng rng(0x6a3 + table->lanes);
+    // Dimensions 1-20, and 26 for the wide designs the scalar table takes.
+    for (std::size_t dim = 1; dim <= 26; dim += dim < 20 ? 1 : 6) {
+      const std::size_t p = dim - 1;
+      // No rows, one, a vector tail's worth, SETAR's 110 and past one
+      // 256-row chunk of the vector kernel.
+      for (const std::size_t rows : {0ul, 1ul, 2 * lanes + 1, 110ul, 300ul}) {
+        for (const bool specials : {false, true}) {
+          std::vector<double> y(p + rows + 1);
+          for (double& v : y) {
+            v = GramSample(&rng, specials);
+          }
+          std::vector<std::uint8_t> row_class(rows + 1);
+          for (std::uint8_t& c : row_class) {
+            c = static_cast<std::uint8_t>(rng.Next() % 8);
+          }
+          // No rows, some, all by mask and all by a null class array.
+          for (const unsigned mask : {0u, 0x5Au, 0xFFu, 1u << 8}) {
+            const std::uint8_t* classes = mask == 1u << 8 ? nullptr : row_class.data() + 1;
+            const auto gram0 = RandomDoubles(dim * dim + 1, &rng);
+            const auto moments0 = RandomDoubles(dim + 1, &rng);
+            auto gram_a = gram0;
+            auto gram_b = gram0;
+            auto moments_a = moments0;
+            auto moments_b = moments0;
+            scalar.gram_accumulate(y.data() + 1, p + rows, p, classes, mask,
+                                   gram_a.data() + 1, moments_a.data() + 1);
+            table->gram_accumulate(y.data() + 1, p + rows, p, classes, mask,
+                                   gram_b.data() + 1, moments_b.data() + 1);
+            const std::size_t case_id =
+                dim * 100000 + rows * 100 + (specials ? 10 : 0) + mask % 7;
+            ExpectBitEqualOrBothNan(gram_a.data(), gram_b.data(), dim * dim + 1,
+                                    table->isa, case_id);
+            ExpectBitEqualOrBothNan(moments_a.data(), moments_b.data(), dim + 1,
+                                    table->isa, case_id);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernelTest, AxpyMatchesScalarBitwise) {
   const simd::KernelTable& scalar = simd::ScalarTable();
   const std::size_t max_n = 4 * static_cast<std::size_t>(MaxLanes()) + 3;
